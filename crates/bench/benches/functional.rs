@@ -4,53 +4,29 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fosm_bench::harness;
-use fosm_branch::{Gshare, Predictor, PredictorConfig};
+use fosm_branch::{Gshare, Predictor};
 use fosm_cache::{AccessKind, Hierarchy, HierarchyConfig};
 use fosm_core::model::FirstOrderModel;
-use fosm_core::profile::{Probe, ProbeBank, ProfileCollector};
+use fosm_core::profile::{ProbeBank, ProfileCollector};
 use fosm_depgraph::iw;
 use fosm_explore::engine::{sweep_profile, ShardTag};
 use fosm_explore::grid::{HardwareAxes, MachineGrid};
 use fosm_isa::LatencyTable;
-use fosm_sim::MachineConfig;
+use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_trace::TraceSource;
 use fosm_workloads::{BenchmarkSpec, WorkloadGenerator};
 use std::hint::black_box;
 
 const TRACE_LEN: u64 = 50_000;
 
-/// The five probe variants a validation case profiles (full machine
-/// plus the four single-source idealizations) — the workload the fused
-/// collector was built to accelerate.
+/// The five simulation-set probes a validation case profiles (full
+/// machine plus the four single-source idealizations) — the workload
+/// the fused collector was built to accelerate.
 fn validation_bank(name: &str) -> ProbeBank {
-    let base = HierarchyConfig::baseline();
-    [
-        Probe::new(name),
-        Probe::new(name)
-            .with_hierarchy(HierarchyConfig::ideal())
-            .with_predictor(PredictorConfig::Ideal),
-        Probe::new(name)
-            .with_hierarchy(HierarchyConfig::ideal())
-            .with_predictor(PredictorConfig::baseline()),
-        Probe::new(name)
-            .with_hierarchy(HierarchyConfig {
-                l1i: base.l1i,
-                l1d: None,
-                l2: base.l2,
-                next_line_prefetch: 0,
-            })
-            .with_predictor(PredictorConfig::Ideal),
-        Probe::new(name)
-            .with_hierarchy(HierarchyConfig {
-                l1i: None,
-                l1d: base.l1d,
-                l2: base.l2,
-                next_line_prefetch: base.next_line_prefetch,
-            })
-            .with_predictor(PredictorConfig::Ideal),
-    ]
-    .into_iter()
-    .collect()
+    SimulationSet::ALL
+        .into_iter()
+        .map(|set| harness::probe_of(&MachineConfig::baseline().simulation_set(set), name))
+        .collect()
 }
 
 fn functional_toolchain(c: &mut Criterion) {
@@ -107,6 +83,9 @@ fn functional_toolchain(c: &mut Criterion) {
         })
     });
 
+    // The IW kernel the profiler runs (`IwSweep`, behind the slice
+    // wrappers), against the cycle-stepped oracle it is tested
+    // against.
     group.bench_function("iw-analysis-w64", |b| {
         b.iter(|| black_box(iw::ipc_at_window(&insts, 64, &LatencyTable::unit())))
     });
@@ -186,12 +165,12 @@ fn functional_toolchain(c: &mut Criterion) {
         })
     });
 
-    // Model evaluation, both paths: the scalar reference
-    // (`Model::evaluate`, which redoes every transient walk per call)
-    // vs the explore engine streaming a 1000-config grid — 5 widths ×
-    // 5 windows × 40 depths — through one prepared workload. The
-    // recorded baselines embody the batch >= 10x scalar throughput
-    // gate: `--check` fails if either side drifts.
+    // Model evaluation, both granularities: one configuration per call
+    // (`FirstOrderModel::evaluate`, which prepares the profile and
+    // walks the transients afresh every time) vs the explore engine
+    // streaming a 1000-config grid — 5 widths × 5 windows × 40 depths
+    // — through one prepared workload. `--check` fails if either side
+    // drifts.
     let profile = ProfileCollector::new(&params)
         .collect(&mut trace.replay(), u64::MAX)
         .unwrap();

@@ -10,7 +10,7 @@
 //! diagnostic beyond the paper's figure).
 
 use fosm_bench::harness;
-use fosm_sim::MachineConfig;
+use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_workloads::BenchmarkSpec;
 
 fn main() {
@@ -38,9 +38,10 @@ fn main() {
 
         let ideal = harness::simulate(&MachineConfig::ideal(), &trace);
         let real = harness::simulate(&config, &trace);
-        let only_bp = harness::simulate(&MachineConfig::only_real_branch_predictor(), &trace);
-        let only_ic = harness::simulate(&MachineConfig::only_real_icache(), &trace);
-        let only_dc = harness::simulate(&MachineConfig::only_real_dcache(), &trace);
+        let only = |set| harness::simulate(&config.simulation_set(set), &trace);
+        let only_bp = only(SimulationSet::Branch);
+        let only_ic = only(SimulationSet::ICache);
+        let only_dc = only(SimulationSet::DCache);
 
         // Independently-derived penalties added to the ideal time.
         let independent_cycles = ideal.cycles

@@ -9,7 +9,7 @@
 use fosm_bench::store::ArtifactStore;
 use fosm_bench::{harness, par};
 use fosm_core::branch::{self, BurstAssumption};
-use fosm_sim::MachineConfig;
+use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_workloads::BenchmarkSpec;
 
 fn main() {
@@ -29,7 +29,9 @@ fn main() {
         let mut sim_penalty = [0.0f64; 2];
         for (slot, depth) in [5u32, 9].into_iter().enumerate() {
             let real = store.simulate(
-                &MachineConfig::only_real_branch_predictor().with_pipe_depth(depth),
+                &MachineConfig::baseline()
+                    .simulation_set(SimulationSet::Branch)
+                    .with_pipe_depth(depth),
                 spec,
                 n,
                 harness::SEED,

@@ -8,7 +8,7 @@
 //! misses").
 
 use fosm_bench::harness;
-use fosm_sim::MachineConfig;
+use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_workloads::BenchmarkSpec;
 
 fn main() {
@@ -26,7 +26,9 @@ fn main() {
         let mut short_misses = 0u64;
         for (slot, depth) in [5u32, 9].into_iter().enumerate() {
             let real = harness::simulate(
-                &MachineConfig::only_real_icache().with_pipe_depth(depth),
+                &MachineConfig::baseline()
+                    .simulation_set(SimulationSet::ICache)
+                    .with_pipe_depth(depth),
                 &trace,
             );
             let ideal = harness::simulate(&MachineConfig::ideal().with_pipe_depth(depth), &trace);

@@ -5,7 +5,7 @@
 use fosm_bench::store::ArtifactStore;
 use fosm_bench::{harness, par};
 use fosm_core::dcache;
-use fosm_sim::MachineConfig;
+use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_workloads::BenchmarkSpec;
 
 fn main() {
@@ -20,7 +20,8 @@ fn main() {
         "bench", "misses", "sim", "model", "eq8-paper", "ovlp"
     );
     let rows = par::par_map_benchmarks(&BenchmarkSpec::all(), |spec| {
-        let real = store.simulate(&MachineConfig::only_real_dcache(), spec, n, harness::SEED);
+        let only_dcache = MachineConfig::baseline().simulation_set(SimulationSet::DCache);
+        let real = store.simulate(&only_dcache, spec, n, harness::SEED);
         let ideal = store.simulate(&MachineConfig::ideal(), spec, n, harness::SEED);
         let profile = store.profile(&params, &spec.name, spec, n, harness::SEED);
         (spec.name.clone(), real, ideal, profile)

@@ -4,7 +4,7 @@ use fosm_branch::PredictorConfig;
 use fosm_cache::HierarchyConfig;
 use fosm_core::model::{Estimate, FirstOrderModel};
 use fosm_core::params::ProcessorParams;
-use fosm_core::profile::{ProbeBank, ProfileCollector, ProgramProfile};
+use fosm_core::profile::{Probe, ProbeBank, ProfileCollector, ProgramProfile};
 use fosm_core::ModelError;
 use fosm_sim::{Machine, MachineConfig, SimReport};
 use fosm_trace::PackedTrace;
@@ -277,6 +277,34 @@ pub fn params_of(config: &MachineConfig) -> ProcessorParams {
     }
 }
 
+/// The baseline simulator configuration with the structural fields and
+/// latencies of `params` — the inverse of [`params_of`].
+pub fn config_of(params: &ProcessorParams) -> MachineConfig {
+    MachineConfig {
+        width: params.width,
+        win_size: params.win_size,
+        rob_size: params.rob_size,
+        pipe_depth: params.pipe_depth,
+        l2_latency: params.l2_latency,
+        mem_latency: params.mem_latency,
+        latencies: params.latencies.clone(),
+        ..MachineConfig::baseline()
+    }
+}
+
+/// The profiling probe matching a simulator configuration: the same
+/// cache hierarchy, branch predictor and data TLB, so a profile
+/// collected under it feeds the model exactly the miss events that
+/// machine sees.
+pub fn probe_of(config: &MachineConfig, name: impl Into<String>) -> Probe {
+    Probe {
+        hierarchy: config.hierarchy,
+        predictor: config.predictor,
+        dtlb: config.dtlb,
+        name: name.into(),
+    }
+}
+
 /// Mean absolute relative error (in percent) across paired values.
 pub fn mean_abs_error_pct(pairs: &[(f64, f64)]) -> f64 {
     if pairs.is_empty() {
@@ -315,6 +343,11 @@ mod tests {
         assert_eq!(p.width, cfg.width);
         assert_eq!(p.rob_size, cfg.rob_size);
         assert_eq!(p.mem_latency, cfg.mem_latency);
+        assert_eq!(config_of(&p), cfg);
+        let wide = ProcessorParams::baseline()
+            .with_width(8)
+            .with_pipe_depth(12);
+        assert_eq!(params_of(&config_of(&wide)), wide);
     }
 
     #[test]

@@ -96,18 +96,6 @@ impl HierarchyConfig {
             next_line_prefetch: 0,
         }
     }
-
-    /// Baseline with an ideal instruction cache (paper simulation set 5).
-    pub fn ideal_icache(mut self) -> Self {
-        self.l1i = None;
-        self
-    }
-
-    /// Baseline with an ideal data cache (paper simulation sets 3 and 4).
-    pub fn ideal_dcache(mut self) -> Self {
-        self.l1d = None;
-        self
-    }
 }
 
 impl Default for HierarchyConfig {
@@ -324,16 +312,6 @@ mod tests {
             let out = h.access(AccessKind::Load, i * 64);
             assert_ne!(out, AccessOutcome::Memory);
         }
-    }
-
-    #[test]
-    fn idealization_helpers() {
-        let cfg = HierarchyConfig::baseline().ideal_icache();
-        assert!(cfg.l1i.is_none());
-        assert!(cfg.l1d.is_some());
-        let cfg = HierarchyConfig::baseline().ideal_dcache();
-        assert!(cfg.l1d.is_none());
-        assert!(cfg.l1i.is_some());
     }
 
     #[test]

@@ -78,6 +78,22 @@ impl Parsed {
         }
     }
 
+    /// A comma-separated `--{name}` list of `u32` values, or `default`
+    /// when the flag is absent.
+    pub fn u32_list(&self, name: &str, default: &[u32]) -> Result<Vec<u32>, String> {
+        match self.flag(name) {
+            None => Ok(default.to_vec()),
+            Some(raw) => raw
+                .split(',')
+                .map(|s| {
+                    s.trim()
+                        .parse::<u32>()
+                        .map_err(|e| format!("bad value in --{name}: {e}"))
+                })
+                .collect(),
+        }
+    }
+
     /// Whether the boolean `--ideal` style flag is set.
     pub fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
@@ -127,6 +143,18 @@ mod tests {
         let p = parse(&["--no-telemetry", "--port-file", "p"]);
         assert!(p.has("no-telemetry"));
         assert_eq!(p.flag("port-file"), Some("p"));
+    }
+
+    #[test]
+    fn u32_lists_parse_or_default() {
+        let p = parse(&["--widths", "2, 4,8"]);
+        assert_eq!(p.u32_list("widths", &[1]).unwrap(), vec![2, 4, 8]);
+        assert_eq!(p.u32_list("robs", &[64]).unwrap(), vec![64]);
+        assert!(p.u32_list("robs", &[]).unwrap().is_empty());
+        let err = parse(&["--mems", "200,x"])
+            .u32_list("mems", &[])
+            .unwrap_err();
+        assert!(err.contains("--mems"), "{err}");
     }
 
     #[test]

@@ -3,13 +3,14 @@
 use std::io::Write;
 use std::sync::Arc;
 
-use fosm_branch::PredictorConfig;
+use fosm_bench::harness::{config_of, probe_of};
 use fosm_cache::{HierarchyConfig, TlbConfig};
 use fosm_core::model::FirstOrderModel;
 use fosm_core::params::ProcessorParams;
 use fosm_core::profile::{Probe, ProbeBank, ProfileCollector, ProgramProfile, SamplingPlan};
 use fosm_isa::FuPool;
-use fosm_sim::{ClusterConfig, FetchBufferConfig, Machine, MachineConfig, Steering};
+use fosm_serve::service::{find_benchmark, render_estimate};
+use fosm_sim::{ClusterConfig, FetchBufferConfig, Machine, MachineConfig, SimulationSet, Steering};
 use fosm_trace::{CorpusFile, CorpusWriter, FileReplay, TraceStats};
 use fosm_validate::ToleranceSpec;
 use fosm_workloads::{BenchmarkSpec, WorkloadGenerator};
@@ -17,19 +18,10 @@ use fosm_workloads::{BenchmarkSpec, WorkloadGenerator};
 use crate::args::Parsed;
 use crate::{open_in, open_out};
 
+/// The validated model parameters from the standard machine flags —
+/// the same parse `fosm client` sends to the daemon.
 fn machine_params(args: &Parsed) -> Result<ProcessorParams, String> {
-    let base = ProcessorParams::baseline();
-    let params = ProcessorParams {
-        width: args.flag_or("width", base.width)?,
-        win_size: args.flag_or("window", base.win_size)?,
-        rob_size: args.flag_or("rob", base.rob_size)?,
-        pipe_depth: args.flag_or("depth", base.pipe_depth)?,
-        l2_latency: args.flag_or("l2", base.l2_latency)?,
-        mem_latency: args.flag_or("mem", base.mem_latency)?,
-        latencies: base.latencies,
-    };
-    params.validate()?;
-    Ok(params)
+    crate::serve_cmd::machine_spec(args)?.to_params()
 }
 
 /// Shared extension flags: `--prefetch N`, `--tlb ENTRIES`.
@@ -50,13 +42,6 @@ fn tlb_from(args: &Parsed) -> Result<Option<TlbConfig>, String> {
             Ok(Some(tlb))
         }
     }
-}
-
-fn find_benchmark(name: &str) -> Result<BenchmarkSpec, String> {
-    BenchmarkSpec::all()
-        .into_iter()
-        .find(|s| s.name == name)
-        .ok_or_else(|| format!("unknown benchmark `{name}` (see `fosm bench-list`)"))
 }
 
 /// `fosm record --bench <name> [--insts N] [--seed S] -o <trace.fct>`
@@ -199,72 +184,19 @@ fn sampling_plan_from(args: &Parsed) -> Result<Option<SamplingPlan>, String> {
     }))
 }
 
-/// Builds one named probe variant for `fosm profile --probes`. The
-/// variant names mirror the validation suite's simulation sets: the
-/// full machine plus the four single-source idealizations.
-fn probe_variant(
-    name: &str,
-    trace: &str,
-    hierarchy: HierarchyConfig,
-    dtlb: Option<TlbConfig>,
-) -> Result<Probe, String> {
-    let probe = Probe::new(format!("{trace}:{name}"));
-    let ideal = HierarchyConfig::ideal();
-    Ok(match name {
-        "full" => {
-            let mut p = probe.with_hierarchy(hierarchy);
-            if let Some(tlb) = dtlb {
-                p = p.with_dtlb(tlb);
-            }
-            p
-        }
-        "ideal" => probe
-            .with_hierarchy(ideal)
-            .with_predictor(PredictorConfig::Ideal),
-        "branch" => probe.with_hierarchy(ideal),
-        "icache" => probe
-            .with_hierarchy(HierarchyConfig {
-                l1i: hierarchy.l1i,
-                l1d: None,
-                l2: hierarchy.l2,
-                next_line_prefetch: 0,
-            })
-            .with_predictor(PredictorConfig::Ideal),
-        "dcache" => {
-            let mut p = probe
-                .with_hierarchy(HierarchyConfig {
-                    l1i: None,
-                    l1d: hierarchy.l1d,
-                    l2: hierarchy.l2,
-                    next_line_prefetch: hierarchy.next_line_prefetch,
-                })
-                .with_predictor(PredictorConfig::Ideal);
-            if let Some(tlb) = dtlb {
-                p = p.with_dtlb(tlb);
-            }
-            p
-        }
-        other => {
-            return Err(format!(
-                "unknown probe `{other}` (expected full, ideal, branch, icache, or dcache)"
-            ))
-        }
-    })
-}
-
-/// Parses the per-invocation machine setup (params + hierarchy + TLB)
-/// exactly once; every `--probes` variant borrows this single parse.
-/// The counter lets the regression tests pin the
-/// one-parse-per-invocation contract.
-fn machine_setup(
-    args: &Parsed,
-) -> Result<(ProcessorParams, HierarchyConfig, Option<TlbConfig>), String> {
+/// Parses the per-invocation machine setup (params plus the full
+/// machine with the `--prefetch`/`--tlb` extensions) exactly once; every
+/// `--probes` variant derives from this single parse. The counter lets
+/// the regression tests pin the one-parse-per-invocation contract.
+fn machine_setup(args: &Parsed) -> Result<(ProcessorParams, MachineConfig), String> {
     fosm_obs::counter_add("cli.profile.config_loads", 1);
-    Ok((
-        machine_params(args)?,
-        hierarchy_from(args)?,
-        tlb_from(args)?,
-    ))
+    let params = machine_params(args)?;
+    let config = MachineConfig {
+        hierarchy: hierarchy_from(args)?,
+        dtlb: tlb_from(args)?,
+        ..config_of(&params)
+    };
+    Ok((params, config))
 }
 
 /// `fosm profile <trace.fct> [-o out.json] [--probes LIST]
@@ -276,24 +208,26 @@ fn machine_setup(
 /// on a paged replay of the file.
 pub fn profile(args: Parsed) -> Result<(), String> {
     let path = args.positional(0, "trace file")?;
-    let (params, hierarchy, dtlb) = machine_setup(&args)?;
+    let (params, config) = machine_setup(&args)?;
     let plan = sampling_plan_from(&args)?;
     let corpus = open_trace(path)?;
 
     let bank: ProbeBank = match args.flag("probes") {
-        // One fused replay profiles every requested variant at once.
+        // One fused replay profiles every requested simulation set at
+        // once.
         Some(list) => list
             .split(',')
-            .map(|name| probe_variant(name.trim(), path, hierarchy, dtlb))
+            .map(|name| {
+                let name = name.trim();
+                let set = SimulationSet::parse(name)?;
+                Ok(probe_of(
+                    &config.simulation_set(set),
+                    format!("{path}:{name}"),
+                ))
+            })
             .collect::<Result<Vec<Probe>, String>>()?
             .into(),
-        None => {
-            let mut probe = Probe::new(path.to_string()).with_hierarchy(hierarchy);
-            if let Some(tlb) = dtlb {
-                probe = probe.with_dtlb(tlb);
-            }
-            ProbeBank::from(vec![probe])
-        }
+        None => ProbeBank::from(vec![probe_of(&config, path)]),
     };
     let profiles: Vec<Arc<ProgramProfile>> = match plan {
         None => fosm_bench::store::ArtifactStore::global()
@@ -359,42 +293,17 @@ pub fn model(args: Parsed) -> Result<(), String> {
     let est = FirstOrderModel::new(params)
         .evaluate(&profile)
         .map_err(|e| e.to_string())?;
-    println!("first-order model estimate for `{}`:", profile.name);
-    for (component, cpi) in est.cpi_stack() {
-        println!("  {component:<10} {cpi:>7.4} CPI");
-    }
-    println!(
-        "  {:<10} {:>7.4} CPI   ({:.3} IPC)",
-        "total",
-        est.total_cpi(),
-        est.total_ipc()
-    );
-    println!(
-        "  penalties: branch {:.1}, icache {:.1}, dcache/miss {:.1} cycles",
-        est.branch_penalty, est.icache_penalty, est.dcache_penalty_per_miss
-    );
+    print!("{}", render_estimate(&profile.name, &est));
     Ok(())
 }
 
 /// `fosm simulate <trace.fct> [machine flags] [--ideal]`
 pub fn simulate(args: Parsed) -> Result<(), String> {
     let path = args.positional(0, "trace file")?;
-    let params = machine_params(&args)?;
-    let base = if args.has("ideal") {
-        MachineConfig::ideal()
+    let mut config = config_of(&machine_params(&args)?);
+    if args.has("ideal") {
+        config = config.simulation_set(SimulationSet::Ideal);
     } else {
-        MachineConfig::baseline()
-    };
-    let mut config = MachineConfig {
-        width: params.width,
-        win_size: params.win_size,
-        rob_size: params.rob_size,
-        pipe_depth: params.pipe_depth,
-        l2_latency: params.l2_latency,
-        mem_latency: params.mem_latency,
-        ..base
-    };
-    if !args.has("ideal") {
         config.hierarchy = hierarchy_from(&args)?;
     }
     if let Some(tlb) = tlb_from(&args)? {
@@ -488,15 +397,7 @@ fn tolerance_from(args: &Parsed) -> Result<ToleranceSpec, String> {
 /// differential fuzzer for `N` random machines instead of the sweep.
 pub fn validate(args: Parsed) -> Result<(), String> {
     let params = machine_params(&args)?;
-    let config = MachineConfig {
-        width: params.width,
-        win_size: params.win_size,
-        rob_size: params.rob_size,
-        pipe_depth: params.pipe_depth,
-        l2_latency: params.l2_latency,
-        mem_latency: params.mem_latency,
-        ..MachineConfig::baseline()
-    };
+    let config = config_of(&params);
     config.validate()?;
     let insts: u64 = args.flag_or("insts", 120_000u64)?;
     let seed: u64 = args.flag_or("seed", 42u64)?;
@@ -668,15 +569,7 @@ pub fn trace(args: Parsed) -> Result<(), String> {
     let bench = args.positional(0, "benchmark name (see `fosm bench-list`)")?;
     let spec = find_benchmark(bench)?;
     let params = machine_params(&args)?;
-    let config = MachineConfig {
-        width: params.width,
-        win_size: params.win_size,
-        rob_size: params.rob_size,
-        pipe_depth: params.pipe_depth,
-        l2_latency: params.l2_latency,
-        mem_latency: params.mem_latency,
-        ..MachineConfig::baseline()
-    };
+    let config = config_of(&params);
     config.validate()?;
     let insts: u64 = args.flag_or("insts", 120_000u64)?;
     let seed: u64 = args.flag_or("seed", 42u64)?;
@@ -996,34 +889,18 @@ fn print_statsim_comparison(report: &fosm_validate::ValidationReport) {
 // `fosm explore` — design-space exploration over the batched model.
 // ---------------------------------------------------------------------
 
-/// Parses a comma-separated `--{name}` list of `u32` axis values, or
-/// returns `default` when the flag is absent.
-fn u32_list(args: &Parsed, name: &str, default: &[u32]) -> Result<Vec<u32>, String> {
-    match args.flag(name) {
-        None => Ok(default.to_vec()),
-        Some(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<u32>()
-                    .map_err(|e| format!("bad value in --{name}: {e}"))
-            })
-            .collect(),
-    }
-}
-
 /// Builds the machine grid from the plural axis flags, defaulting every
 /// unspecified axis to the baseline sweep, and validates it once —
 /// the streaming evaluator itself has no `Result` in the hot path.
 fn grid_from(args: &Parsed) -> Result<fosm_explore::MachineGrid, String> {
     let base = fosm_explore::MachineGrid::baseline_sweep();
     let grid = fosm_explore::MachineGrid {
-        widths: u32_list(args, "widths", &base.widths)?,
-        win_sizes: u32_list(args, "windows", &base.win_sizes)?,
-        rob_sizes: u32_list(args, "robs", &base.rob_sizes)?,
-        pipe_depths: u32_list(args, "depths", &base.pipe_depths)?,
-        l2_latencies: u32_list(args, "l2s", &base.l2_latencies)?,
-        mem_latencies: u32_list(args, "mems", &base.mem_latencies)?,
+        widths: args.u32_list("widths", &base.widths)?,
+        win_sizes: args.u32_list("windows", &base.win_sizes)?,
+        rob_sizes: args.u32_list("robs", &base.rob_sizes)?,
+        pipe_depths: args.u32_list("depths", &base.pipe_depths)?,
+        l2_latencies: args.u32_list("l2s", &base.l2_latencies)?,
+        mem_latencies: args.u32_list("mems", &base.mem_latencies)?,
     };
     grid.validate().map_err(|e| e.to_string())?;
     Ok(grid)

@@ -72,7 +72,7 @@ pub fn serve(args: Parsed) -> Result<(), String> {
 
 /// The machine spec from the standard machine flags (same names and
 /// defaults as every other subcommand).
-fn machine_spec(args: &Parsed) -> Result<MachineSpec, String> {
+pub(crate) fn machine_spec(args: &Parsed) -> Result<MachineSpec, String> {
     let base = MachineSpec::default();
     Ok(MachineSpec {
         width: args.flag_or("width", base.width)?,
@@ -94,22 +94,6 @@ fn profile_request(args: &Parsed) -> Result<ProfileRequest, String> {
     })
 }
 
-/// Parses a comma-separated `--{name}` u32 list; absent means empty
-/// (the daemon substitutes its baseline-sweep values).
-fn u32_list(args: &Parsed, name: &str) -> Result<Vec<u32>, String> {
-    match args.flag(name) {
-        None => Ok(Vec::new()),
-        Some(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<u32>()
-                    .map_err(|e| format!("bad value in --{name}: {e}"))
-            })
-            .collect(),
-    }
-}
-
 /// Builds the request a `fosm client <action>` invocation describes.
 fn build_request(action: &str, args: &Parsed) -> Result<Request, String> {
     Ok(match action {
@@ -129,12 +113,14 @@ fn build_request(action: &str, args: &Parsed) -> Result<Request, String> {
             bench: args.flag("bench").unwrap_or("gzip").to_string(),
             insts: args.flag_or("insts", 120_000u64)?,
             seed: args.flag_or("seed", 42u64)?,
-            widths: u32_list(args, "widths")?,
-            windows: u32_list(args, "windows")?,
-            robs: u32_list(args, "robs")?,
-            depths: u32_list(args, "depths")?,
-            l2s: u32_list(args, "l2s")?,
-            mems: u32_list(args, "mems")?,
+            // An absent axis stays empty: the daemon substitutes its
+            // baseline-sweep values.
+            widths: args.u32_list("widths", &[])?,
+            windows: args.u32_list("windows", &[])?,
+            robs: args.u32_list("robs", &[])?,
+            depths: args.u32_list("depths", &[])?,
+            l2s: args.u32_list("l2s", &[])?,
+            mems: args.u32_list("mems", &[])?,
         }),
         other => {
             return Err(format!(

@@ -1,16 +1,17 @@
-//! Batched evaluation: the prepare/eval split of the first-order model.
+//! The prepare/eval split of the first-order model: the one
+//! evaluation path every caller runs.
 //!
-//! [`FirstOrderModel::evaluate`] recomputes everything from scratch per
-//! call: it re-validates parameters, rebuilds the cluster-adjusted IW
-//! characteristic, re-resolves the profile's miss counts and overlap
-//! factors, and — dominating the cost — re-runs the window-drain and
-//! ramp-up walks several times (directly, inside the branch penalty,
-//! twice inside each I-cache penalty, inside the D-cache penalty, and
-//! again on the dTLB path). That is the right shape for evaluating one
-//! machine, and exactly the wrong shape for design-space exploration,
-//! where millions of configurations share one workload profile.
-//!
-//! This module splits the recipe along its data-dependence seams:
+//! The paper's §5 recipe, written out term by term (kept as the test
+//! oracle [`crate::model::reference::evaluate`]), recomputes
+//! everything per call: it re-validates parameters, rebuilds the
+//! cluster-adjusted IW characteristic, re-resolves the profile's miss
+//! counts and overlap factors, and — dominating the cost — re-runs the
+//! window-drain and ramp-up walks several times (directly, inside the
+//! branch penalty, twice inside each I-cache penalty, inside the
+//! D-cache penalty, and again on the dTLB path). Design-space
+//! exploration evaluates millions of configurations against one
+//! workload profile, so this module splits the recipe along its
+//! data-dependence seams:
 //!
 //! 1. [`FirstOrderModel::prepare`] hoists everything that depends only
 //!    on the *workload* into a [`PreparedModel`]: the (cluster-adjusted)
@@ -26,13 +27,13 @@
 //!    axes (`rob_size`, `pipe_depth`, `l2_latency`, `mem_latency`) in
 //!    ~20 flops: no allocation, no `Result`, no hashing.
 //!
-//! The scalar [`FirstOrderModel::evaluate`] is retained unchanged as
-//! the reference implementation; a property test pins the two paths
-//! bit-identical (`cargo test -p fosm-core --test batch_identity`)
-//! across every model variant. Sweep loops should order `(width,
-//! win_size)` outermost and the cheap axes innermost so each walk is
-//! amortized over the whole inner block — `fosm-explore` does exactly
-//! that.
+//! [`FirstOrderModel::evaluate`] is parameter validation plus one pass
+//! through all three steps; a property test pins it and `evaluate_at`
+//! bit-identical to the reference recipe (`cargo test -p fosm-core
+//! --test batch_identity`) across every model variant. Sweep loops
+//! should order `(width, win_size)` outermost and the cheap axes
+//! innermost so each walk is amortized over the whole inner block —
+//! `fosm-explore` does exactly that.
 
 use fosm_depgraph::IwCharacteristic;
 use fosm_isa::FuClass;
@@ -93,7 +94,7 @@ impl StructuralContext {
     /// This is also the shared evaluation primitive the `fosm-trends`
     /// studies build on: the drain/ramp penalties, the steady-state
     /// rate, and [`branch_penalty`](Self::branch_penalty) come from
-    /// the exact arithmetic of the scalar model.
+    /// the exact arithmetic of the reference recipe.
     pub fn walk(iw: &IwCharacteristic, width: u32, win_size: u32) -> Self {
         let drain = win_drain_summary(iw, width, win_size);
         let ramp = ramp_up_summary(iw, width, win_size);
@@ -250,8 +251,8 @@ impl PreparedModel {
     /// fields, `win_size ≤ rob_size`, `mem_latency > l2_latency`) —
     /// validate the grid once before sweeping.
     ///
-    /// Bit-identical to [`FirstOrderModel::evaluate`] on the same
-    /// profile and parameters (pinned by property test).
+    /// Bit-identical to [`crate::model::reference::evaluate`] on the
+    /// same profile and parameters (pinned by property test).
     pub fn evaluate_at(
         &self,
         ctx: &StructuralContext,
@@ -277,7 +278,7 @@ impl PreparedModel {
         // 3) Instruction cache (eq. 4/5, refined or paper form). With
         // the paper form the hidden work is exactly the drain penalty,
         // so both collapse to `(∆ + ramp − hidden)` — the `/ n` of the
-        // scalar path is by 1.0 and therefore exact.
+        // reference recipe is by 1.0 and therefore exact.
         let hidden = if self.paper_icache {
             drain
         } else {
@@ -313,7 +314,7 @@ impl PreparedModel {
             0.0
         };
 
-        // 6) Cross-event overlap correction (see the scalar path).
+        // 6) Cross-event overlap correction (see the reference recipe).
         let (icache_l1_cpi, icache_l2_cpi) = if self.paper_icache {
             (icache_l1_cpi, icache_l2_cpi)
         } else {
@@ -389,11 +390,11 @@ mod tests {
     }
 
     #[test]
-    fn prepared_matches_scalar_on_the_baseline() {
+    fn prepared_matches_the_reference_on_the_baseline() {
         let params = ProcessorParams::baseline();
         let model = FirstOrderModel::new(params.clone());
         let profile = profile();
-        let scalar = model.evaluate(&profile).unwrap();
+        let scalar = crate::model::reference::evaluate(&model, &profile).unwrap();
         let batch = model.prepare(&profile).unwrap().evaluate_params(&params);
         assert_eq!(scalar, batch);
     }
@@ -405,9 +406,8 @@ mod tests {
         let prepared = model.prepare(&profile()).unwrap();
         let ctx = prepared.structural(params.width, params.win_size);
         for depth in [1u32, 5, 20, 80] {
-            let scalar = FirstOrderModel::new(params.clone().with_pipe_depth(depth))
-                .evaluate(&profile())
-                .unwrap();
+            let model = FirstOrderModel::new(params.clone().with_pipe_depth(depth));
+            let scalar = crate::model::reference::evaluate(&model, &profile()).unwrap();
             let batch = prepared.evaluate_at(&ctx, params.rob_size, depth, 8, 200);
             assert_eq!(scalar, batch, "depth {depth}");
         }

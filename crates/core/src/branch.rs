@@ -66,21 +66,6 @@ pub fn penalty(iw: &IwCharacteristic, params: &ProcessorParams, burst: BurstAssu
     params.pipe_depth as f64 + (drain + ramp) / burst.effective_n()
 }
 
-/// CPI contribution of branch mispredictions: penalty × mispredictions
-/// per instruction.
-pub fn cpi(
-    iw: &IwCharacteristic,
-    params: &ProcessorParams,
-    mispredicts: u64,
-    instructions: u64,
-    burst: BurstAssumption,
-) -> f64 {
-    if instructions == 0 {
-        return 0.0;
-    }
-    penalty(iw, params, burst) * mispredicts as f64 / instructions as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,16 +125,6 @@ mod tests {
             BurstAssumption::Isolated,
         );
         assert!((p9 - p5 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cpi_scales_with_rate() {
-        let iw = sqrt_iw();
-        let params = baseline();
-        let one = cpi(&iw, &params, 10, 1000, BurstAssumption::PaperAverage);
-        let two = cpi(&iw, &params, 20, 1000, BurstAssumption::PaperAverage);
-        assert!((two - 2.0 * one).abs() < 1e-12);
-        assert_eq!(cpi(&iw, &params, 10, 0, BurstAssumption::PaperAverage), 0.0);
     }
 
     #[test]

@@ -125,19 +125,6 @@ pub fn penalty_per_miss(
     isolated_penalty(iw, params) * distribution.overlap_factor()
 }
 
-/// CPI contribution of long data-cache misses.
-pub fn cpi(
-    iw: &IwCharacteristic,
-    params: &ProcessorParams,
-    distribution: &BurstDistribution,
-    instructions: u64,
-) -> f64 {
-    if instructions == 0 {
-        return 0.0;
-    }
-    penalty_per_miss(iw, params, distribution) * distribution.misses() as f64 / instructions as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,24 +198,5 @@ mod tests {
         let p_iso = penalty_per_miss(&iw, &params, &isolated);
         let p_pair = penalty_per_miss(&iw, &params, &paired);
         assert!((p_pair - p_iso / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cpi_matches_hand_computation() {
-        let iw = sqrt_iw();
-        let params = ProcessorParams::baseline();
-        // 100 isolated misses in 100k instructions at ~200 cycles each.
-        let d = BurstDistribution::all_isolated(100);
-        let c = cpi(&iw, &params, &d, 100_000);
-        let expected = 100.0 * isolated_penalty(&iw, &params) / 100_000.0;
-        assert!((c - expected).abs() < 1e-9);
-        assert_eq!(cpi(&iw, &params, &d, 0), 0.0);
-    }
-
-    #[test]
-    fn empty_distribution_contributes_nothing() {
-        let d = BurstDistribution::all_isolated(0);
-        let c = cpi(&sqrt_iw(), &ProcessorParams::baseline(), &d, 1_000_000);
-        assert_eq!(c, 0.0);
     }
 }

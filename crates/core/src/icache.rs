@@ -117,23 +117,6 @@ pub fn penalty_paper(iw: &IwCharacteristic, params: &ProcessorParams, delta: u32
     (delta as f64 + (ramp - drain) / n.max(1.0)).max(0.0)
 }
 
-/// CPI contribution of instruction-cache misses: short misses pay the
-/// L2 latency ∆I, misses to memory pay the memory latency ∆D.
-pub fn cpi(
-    iw: &IwCharacteristic,
-    params: &ProcessorParams,
-    short_misses: u64,
-    long_misses: u64,
-    instructions: u64,
-) -> f64 {
-    if instructions == 0 {
-        return 0.0;
-    }
-    let short = isolated_penalty(iw, params, params.l2_latency);
-    let long = isolated_penalty(iw, params, params.mem_latency);
-    (short_misses as f64 * short + long_misses as f64 * long) / instructions as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,17 +202,6 @@ mod tests {
         let iso = penalty_paper(&sqrt_iw(), &ProcessorParams::baseline(), 8, 1.0);
         let burst = penalty_paper(&sqrt_iw(), &ProcessorParams::baseline(), 8, 10.0);
         assert!((iso - burst).abs() < 1.0, "iso {iso} vs burst {burst}");
-    }
-
-    #[test]
-    fn cpi_weighs_short_and_long_misses() {
-        let iw = sqrt_iw();
-        let params = ProcessorParams::baseline();
-        let short_only = cpi(&iw, &params, 100, 0, 100_000);
-        let long_only = cpi(&iw, &params, 0, 100, 100_000);
-        // Long misses cost far more (200 vs 8 cycles before hiding).
-        assert!(long_only / short_only > 15.0);
-        assert_eq!(cpi(&iw, &params, 5, 5, 0), 0.0);
     }
 
     #[test]

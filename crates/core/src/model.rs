@@ -2,12 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use fosm_depgraph::IwCharacteristic;
-use fosm_isa::{FuClass, FuPool};
+use fosm_isa::FuPool;
 
 use crate::branch::BurstAssumption;
-use crate::transient::{ramp_up, win_drain};
-use crate::{branch, dcache, icache, ModelError, ProcessorParams, ProgramProfile};
+use crate::{ModelError, ProcessorParams, ProgramProfile};
 
 /// The complete CPI estimate, broken into the paper's components.
 ///
@@ -221,25 +219,61 @@ impl FirstOrderModel {
         Ok((est, penalties))
     }
 
-    /// Evaluates the model on a program profile (the paper's §5 recipe).
+    /// Evaluates the model on a program profile (the paper's §5 recipe):
+    /// [`prepare`](FirstOrderModel::prepare) followed by one
+    /// [`evaluate_params`](crate::batch::PreparedModel::evaluate_params)
+    /// at this model's own parameters.
     ///
     /// # Errors
     ///
-    /// [`ModelError::InvalidParams`] if the parameters fail validation
-    /// or the profile covers zero instructions.
+    /// [`ModelError::InvalidParams`] if the parameters fail validation,
+    /// then everything [`prepare`](FirstOrderModel::prepare) can return
+    /// ([`ModelError::EmptyTrace`] for a zero-instruction profile, an
+    /// invalid FU pool or cluster-adjusted characteristic).
     pub fn evaluate(&self, profile: &ProgramProfile) -> Result<Estimate, ModelError> {
         self.params.validate().map_err(ModelError::InvalidParams)?;
+        Ok(self.prepare(profile)?.evaluate_params(&self.params))
+    }
+}
+
+/// The paper's §5 recipe written out term by term, retained as the test
+/// oracle for [`FirstOrderModel::evaluate`] (which composes the
+/// prepare/structural/evaluate-at split of [`crate::batch`]). It
+/// re-derives every quantity per call — the drain and ramp walks run
+/// several times — so no production path calls it; a property test
+/// pins the two bit-identical (`cargo test -p fosm-core --test
+/// batch_identity`).
+pub mod reference {
+    use fosm_depgraph::IwCharacteristic;
+    use fosm_isa::FuClass;
+
+    use super::{Estimate, FirstOrderModel};
+    use crate::branch::BurstAssumption;
+    use crate::transient::{ramp_up, win_drain};
+    use crate::{branch, dcache, icache, ModelError, ProgramProfile};
+
+    /// Scalar oracle for [`FirstOrderModel::evaluate`], with the same
+    /// errors in the same order.
+    ///
+    /// # Errors
+    ///
+    /// As [`FirstOrderModel::evaluate`].
+    pub fn evaluate(
+        model: &FirstOrderModel,
+        profile: &ProgramProfile,
+    ) -> Result<Estimate, ModelError> {
+        model.params.validate().map_err(ModelError::InvalidParams)?;
         if profile.instructions == 0 {
             return Err(ModelError::EmptyTrace);
         }
-        let params = &self.params;
+        let params = &model.params;
         // Clustering lengthens dependence chains by the expected
         // cross-cluster forwarding delay; fold it into L.
         let adjusted_iw;
-        let iw: &IwCharacteristic = if self.cluster_penalty > 0.0 {
+        let iw: &IwCharacteristic = if model.cluster_penalty > 0.0 {
             adjusted_iw = profile
                 .iw
-                .with_avg_latency(profile.iw.avg_latency() + self.cluster_penalty)
+                .with_avg_latency(profile.iw.avg_latency() + model.cluster_penalty)
                 .map_err(|e| ModelError::InvalidParams(e.to_string()))?;
             &adjusted_iw
         } else {
@@ -250,7 +284,7 @@ impl FirstOrderModel {
         // 1) Steady-state IPC from the IW characteristic, saturated at
         // the machine width and, if units are limited, at the
         // mix-weighted functional-unit bound.
-        let fu_bound = match &self.fu {
+        let fu_bound = match &model.fu {
             Some(pool) => {
                 pool.validate().map_err(ModelError::InvalidParams)?;
                 FuClass::ALL
@@ -273,10 +307,10 @@ impl FirstOrderModel {
         let ramp = ramp_up(iw, params.width, params.win_size).penalty;
 
         // 2) Branch misprediction penalty (eq. 2/3).
-        let burst = if self.use_measured_bursts {
+        let burst = if model.use_measured_bursts {
             BurstAssumption::Bursts(profile.mispredict_burst_mean)
         } else {
-            self.burst
+            model.burst
         };
         let branch_penalty = branch::penalty(iw, params, burst);
         let branch_cpi = branch_penalty * profile.mispredicts as f64 / n as f64;
@@ -285,25 +319,25 @@ impl FirstOrderModel {
         // buffered ahead of the stall hides part of the delay), minus
         // any slack hidden by a fetch buffer (§7 extension).
         let ic_isolated = |delta: u32| {
-            if self.paper_icache {
+            if model.paper_icache {
                 icache::isolated_penalty_paper(iw, params, delta)
             } else {
                 icache::isolated_penalty(iw, params, delta)
             }
         };
-        let buffer_hide = self.fetch_buffer_entries as f64 / params.width as f64;
+        let buffer_hide = model.fetch_buffer_entries as f64 / params.width as f64;
         let icache_penalty = (ic_isolated(params.l2_latency) - buffer_hide).max(0.0);
         let icache_long_penalty = (ic_isolated(params.mem_latency) - buffer_hide).max(0.0);
         let icache_l1_cpi = icache_penalty * profile.icache_short_misses as f64 / n as f64;
         let icache_l2_cpi = icache_long_penalty * profile.icache_long_misses as f64 / n as f64;
 
         // 4) Long data-cache misses (eq. 8).
-        let distribution = if self.independent_grouping {
+        let distribution = if model.independent_grouping {
             &profile.long_miss_distribution_paper
         } else {
             &profile.long_miss_distribution
         };
-        let isolated = if self.paper_rob_fill {
+        let isolated = if model.paper_rob_fill {
             dcache::isolated_penalty_paper(iw, params)
         } else {
             dcache::isolated_penalty(iw, params)
@@ -318,7 +352,7 @@ impl FirstOrderModel {
             let walk_isolated = {
                 let drain = win_drain(iw, params.width, params.win_size).penalty;
                 let ramp = ramp_up(iw, params.width, params.win_size).penalty;
-                let fill = if self.paper_rob_fill {
+                let fill = if model.paper_rob_fill {
                     0.0
                 } else {
                     dcache::estimated_rob_fill(iw, params)
@@ -345,7 +379,7 @@ impl FirstOrderModel {
         // validation untouched; on the full machine it recovers the
         // non-additivity the detailed simulator shows when both miss
         // sources are heavy.
-        let (icache_l1_cpi, icache_l2_cpi) = if self.paper_icache {
+        let (icache_l1_cpi, icache_l2_cpi) = if model.paper_icache {
             (icache_l1_cpi, icache_l2_cpi)
         } else {
             let linear_total = steady_state_cpi

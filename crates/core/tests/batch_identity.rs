@@ -1,15 +1,15 @@
-//! Property test: the batched evaluator is **bit-identical** to the
-//! scalar reference path.
+//! Property test: the production evaluation path is **bit-identical**
+//! to the scalar reference recipe.
 //!
-//! `PreparedModel::evaluate_params` must reproduce `Model::evaluate`
-//! exactly — not approximately — for every profile, parameter point,
-//! and model-variant combination. The explore engine leans on this: it
-//! only ever runs the batched path, and the differential validation
-//! gates were tuned against the scalar one.
+//! `FirstOrderModel::evaluate` and `PreparedModel::evaluate_at` must
+//! reproduce `model::reference::evaluate` exactly — not approximately —
+//! for every profile, parameter point, and model-variant combination.
+//! Every caller runs the prepared path, and the differential
+//! validation gates were tuned against the term-by-term recipe.
 
 use fosm_cache::BurstDistribution;
 use fosm_core::branch::BurstAssumption;
-use fosm_core::model::{Estimate, FirstOrderModel};
+use fosm_core::model::{reference, Estimate, FirstOrderModel};
 use fosm_core::profile::ProgramProfile;
 use fosm_core::ProcessorParams;
 use fosm_depgraph::{IwCharacteristic, IwPoint, PowerLaw};
@@ -186,20 +186,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn batched_evaluator_is_bit_identical_to_scalar(
+    fn evaluate_is_bit_identical_to_the_reference(
         profile in profile_strategy(),
         params in params_strategy(),
         variants in variant_strategy(),
     ) {
         prop_assert!(params.validate().is_ok());
         let model = apply_variants(FirstOrderModel::new(params.clone()), &variants);
-        let scalar = model.evaluate(&profile).unwrap();
-        let prepared = model.prepare(&profile).unwrap();
-        assert_bit_identical(&scalar, &prepared.evaluate_params(&params));
+        let scalar = reference::evaluate(&model, &profile).unwrap();
+        assert_bit_identical(&scalar, &model.evaluate(&profile).unwrap());
     }
 
     #[test]
-    fn batched_evaluator_matches_scalar_under_fu_limits(
+    fn evaluate_matches_the_reference_under_fu_limits(
         profile in profile_strategy(),
         params in params_strategy(),
         pool in (1u32..6, 1u32..3, 1u32..3, 1u32..3, 1u32..3),
@@ -212,9 +211,8 @@ proptest! {
             mem_ports: pool.4,
         };
         let model = FirstOrderModel::new(params.clone()).with_fu_limits(fu);
-        let scalar = model.evaluate(&profile).unwrap();
-        let prepared = model.prepare(&profile).unwrap();
-        assert_bit_identical(&scalar, &prepared.evaluate_params(&params));
+        let scalar = reference::evaluate(&model, &profile).unwrap();
+        assert_bit_identical(&scalar, &model.evaluate(&profile).unwrap());
     }
 
     #[test]
@@ -236,7 +234,7 @@ proptest! {
                     ..params.clone()
                 };
                 let rob_size = point.rob_size;
-                let scalar = FirstOrderModel::new(point).evaluate(&profile).unwrap();
+                let scalar = reference::evaluate(&FirstOrderModel::new(point), &profile).unwrap();
                 let batched = prepared.evaluate_at(&ctx, rob_size, pipe_depth, l2, mem);
                 assert_bit_identical(&scalar, &batched);
             }

@@ -10,34 +10,19 @@
 //!
 //! The machine being modeled issues, every cycle, *all* instructions
 //! among the `W` oldest unissued ones whose producers have completed.
-//! Rather than stepping that machine cycle by cycle (see
-//! [`reference`]), the kernel computes each instruction's issue cycle
-//! directly from a dataflow recurrence:
-//!
-//! ```text
-//! issue[i] = max(1,  max over producers p of (issue[p] + lat(p)),  S_W(i) + 1)
-//! ```
-//!
-//! where `S_W(i)` is the `W`-th largest issue cycle among instructions
-//! `j < i`. The first two terms are plain data dependence. The third
-//! is the window constraint: instruction `i` is only scanned once
-//! fewer than `W` older instructions remain unissued, and the number
-//! of older instructions with `issue[j] >= c` drops below `W` exactly
-//! at cycle `S_W(i) + 1`. (Older instructions issuing *in* cycle `c`
-//! still occupy window slots during cycle `c`, which is why the bound
-//! is `>=`, matching the cycle-stepped machine's scan order.) Total
-//! cycles equal the maximum issue cycle.
-//!
-//! Because every new issue cycle satisfies `t >= S_W + 1`, `S_W` is
-//! non-decreasing over the sweep, so it is maintained with a histogram
-//! of issue cycles and a monotonically rising pointer — amortized
-//! `O(1)` per instruction, `O(n + cycles)` per window sweep instead of
-//! the reference machine's `O(cycles × W)` rescans — and
-//! [`characteristic`] resolves producers and latencies once for all
-//! window sizes.
+//! One kernel computes it: [`IwSweep`], the push-based single-sweep
+//! recurrence the fused profiler streams every trace through (see
+//! [`crate::streaming`] for the recurrence and its constant-state
+//! form). [`characteristic`] and [`ipc_at_window`] are thin slice
+//! wrappers around it, and [`reference`](mod@reference) keeps the
+//! original cycle-stepped machine as the test oracle — `O(cycles × W)`
+//! against the kernel's amortized `O(1)` per instruction and window
+//! size.
 
 use fosm_isa::{Inst, LatencyTable, NUM_REGS};
 use serde::{Deserialize, Serialize};
+
+use crate::IwSweep;
 
 /// One measured point of the IW characteristic.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,7 +46,7 @@ pub const DEFAULT_WINDOW_SIZES: [u32; 8] = [2, 4, 8, 16, 32, 64, 128, 256];
 /// issue. With [`LatencyTable::unit`] this is exactly the paper's
 /// unit-latency configuration.
 ///
-/// Computed with the single-sweep recurrence (see the module docs);
+/// Computed by the streaming kernel ([`IwSweep`]);
 /// [`reference::ipc_at_window`] is the cycle-stepped oracle it is
 /// tested against.
 ///
@@ -72,20 +57,15 @@ pub const DEFAULT_WINDOW_SIZES: [u32; 8] = [2, 4, 8, 16, 32, 64, 128, 256];
 ///
 /// Panics if `window == 0`.
 pub fn ipc_at_window(insts: &[Inst], window: u32, latencies: &LatencyTable) -> f64 {
-    assert!(window > 0, "window size must be at least 1");
-    if insts.is_empty() {
-        return 0.0;
-    }
-    let dataflow = resolve_dataflow(insts, latencies);
-    insts.len() as f64 / total_cycles(&dataflow, window) as f64
+    characteristic(insts, &[window], latencies)[0].ipc
 }
 
 /// Sweeps the IW characteristic over `window_sizes`.
 ///
 /// This is the generator of the paper's Fig. 4 curves: one idealized
-/// simulation per window size over the same trace. Producers and
-/// per-instruction latencies are resolved once and shared across all
-/// window sizes.
+/// simulation per window size over the same trace, all advanced
+/// together by a single pass of [`IwSweep`] — the kernel the profiler
+/// runs. Each point reports 0.0 IPC for an empty trace.
 ///
 /// # Panics
 ///
@@ -95,113 +75,11 @@ pub fn characteristic(
     window_sizes: &[u32],
     latencies: &LatencyTable,
 ) -> Vec<IwPoint> {
-    for &wsize in window_sizes {
-        assert!(wsize > 0, "window size must be at least 1");
+    let mut sweep = IwSweep::new(window_sizes, latencies.clone());
+    for inst in insts {
+        sweep.push(inst);
     }
-    if insts.is_empty() {
-        return window_sizes
-            .iter()
-            .map(|&wsize| IwPoint {
-                window: wsize,
-                ipc: 0.0,
-            })
-            .collect();
-    }
-    let _sweep = fosm_obs::span("iw.characteristic");
-    fosm_obs::counter_add("iw.sweep.instructions", insts.len() as u64);
-    fosm_obs::counter_add("iw.sweep.windows", window_sizes.len() as u64);
-    let dataflow = {
-        let _resolve = fosm_obs::span("resolve-dataflow");
-        resolve_dataflow(insts, latencies)
-    };
-    let _windows = fosm_obs::span("window-sweep");
-    window_sizes
-        .iter()
-        .map(|&wsize| IwPoint {
-            window: wsize,
-            ipc: insts.len() as f64 / total_cycles(&dataflow, wsize) as f64,
-        })
-        .collect()
-}
-
-/// Dependence structure of a trace, resolved once and shared across
-/// window sizes.
-///
-/// Producer indices are shifted by one so that 0 is the "no in-trace
-/// producer" sentinel: the kernel's finish-time array reserves slot 0
-/// with finish cycle 0, making every producer lookup a plain
-/// unconditional array read.
-struct Dataflow {
-    /// For each instruction, its producers' indices plus one
-    /// (0 = source with no in-trace producer).
-    prods: Vec<[u32; 2]>,
-    /// Result latency of each instruction.
-    lats: Vec<u32>,
-}
-
-/// Resolves producers and latencies in a single pass over the trace.
-fn resolve_dataflow(insts: &[Inst], latencies: &LatencyTable) -> Dataflow {
-    assert!(
-        insts.len() < u32::MAX as usize,
-        "trace too long for 32-bit producer indices"
-    );
-    let mut last_writer = [0u32; NUM_REGS];
-    let mut prods = Vec::with_capacity(insts.len());
-    let mut lats = Vec::with_capacity(insts.len());
-    for (i, inst) in insts.iter().enumerate() {
-        let mut p = [0u32; 2];
-        for (slot, src) in inst.sources().enumerate() {
-            p[slot] = last_writer[src.index()];
-        }
-        prods.push(p);
-        lats.push(latencies.latency(inst.op));
-        if let Some(d) = inst.dest {
-            last_writer[d.index()] = i as u32 + 1;
-        }
-    }
-    Dataflow { prods, lats }
-}
-
-/// Runs the single-sweep recurrence; returns the total cycle count
-/// (the maximum issue cycle).
-///
-/// `S_W` is maintained with a histogram of issue cycles plus a rising
-/// pointer `s`: the invariant is that `s` is the smallest cycle with
-/// fewer than `W` prior issues above it (i.e. `S_W`, once `W`
-/// instructions have been seen, and 0 before that — which also folds
-/// the `max(1, ..)` base of the recurrence into `s + 1`). Every new
-/// issue cycle is at least `s + 1`, so `s` never moves backwards and
-/// the advance loop costs `O(total cycles)` across the whole sweep.
-fn total_cycles(df: &Dataflow, window: u32) -> u64 {
-    let n = df.prods.len();
-    let w = window as u64;
-    // finish[i + 1] = issue[i] + lats[i]; finish[0] = 0 is the
-    // "no producer" sentinel.
-    let mut finish = vec![0u64; n + 1];
-    // hist[c] = number of instructions that issued at cycle c.
-    let mut hist: Vec<u32> = vec![0; 1024];
-    let mut s: u64 = 0; // S_W of the processed prefix (0 until w seen)
-    let mut cnt_gt: u64 = 0; // #{processed j : issue[j] > s}
-    let mut max_issue = 0u64;
-    for i in 0..n {
-        let [p0, p1] = df.prods[i];
-        let t = (s + 1).max(finish[p0 as usize]).max(finish[p1 as usize]);
-        let ti = t as usize;
-        if ti >= hist.len() {
-            hist.resize(ti + ti / 2, 0);
-        }
-        hist[ti] += 1;
-        cnt_gt += 1; // t > s always, by construction
-        while cnt_gt >= w {
-            s += 1;
-            cnt_gt -= hist[s as usize] as u64;
-        }
-        finish[i + 1] = t + df.lats[i] as u64;
-        if t > max_issue {
-            max_issue = t;
-        }
-    }
-    max_issue
+    sweep.finish().points().to_vec()
 }
 
 /// For each instruction, the indices of its producing instructions
@@ -223,7 +101,7 @@ fn resolve_producers(insts: &[Inst]) -> Vec<[usize; 2]> {
 }
 
 /// The original cycle-stepped idealized-issue machine, retained as the
-/// test oracle for the single-sweep kernel (and for old-vs-new
+/// test oracle for the streaming kernel (and for old-vs-new
 /// benchmarking). Semantically identical to [`ipc_at_window`]; costs
 /// `O(cycles × W)` because it rescans the window every cycle.
 pub mod reference {

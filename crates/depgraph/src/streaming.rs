@@ -1,23 +1,47 @@
-//! Streaming (push-based) form of the single-sweep IW kernel.
+//! The IW kernel: a push-based single sweep of the idealized issue
+//! machine of paper §3.
 //!
-//! [`iw::characteristic`](crate::iw::characteristic) needs the whole
-//! trace in memory because it resolves producers up front. The fused
-//! profiler cannot afford that: it streams one instruction at a time
-//! past many observers and must not buffer the counted stream. This
-//! module re-expresses the same recurrence incrementally:
+//! The machine issues, every cycle, *all* instructions among the `W`
+//! oldest unissued ones whose producers have completed. Rather than
+//! stepping it cycle by cycle (see [`iw::reference`]), the kernel
+//! computes each instruction's issue cycle directly from a dataflow
+//! recurrence:
+//!
+//! ```text
+//! issue[i] = max(1,  max over producers p of (issue[p] + lat(p)),  S_W(i) + 1)
+//! ```
+//!
+//! where `S_W(i)` is the `W`-th largest issue cycle among instructions
+//! `j < i`. The first two terms are plain data dependence. The third
+//! is the window constraint: instruction `i` is only scanned once
+//! fewer than `W` older instructions remain unissued, and the number
+//! of older instructions with `issue[j] >= c` drops below `W` exactly
+//! at cycle `S_W(i) + 1`. (Older instructions issuing *in* cycle `c`
+//! still occupy window slots during cycle `c`, which is why the bound
+//! is `>=`, matching the cycle-stepped machine's scan order.) Total
+//! cycles equal the maximum issue cycle.
+//!
+//! Because every new issue cycle satisfies `t >= S_W + 1`, `S_W` is
+//! non-decreasing over the sweep, so it is maintained with a histogram
+//! of issue cycles and a monotonically rising pointer — amortized
+//! `O(1)` per instruction and window size. The state never depends on
+//! trace length, so the fused profiler can stream one instruction at a
+//! time past it without buffering the trace:
 //!
 //! * producers collapse to a *last-writer finish time* per register —
-//!   the batch kernel's `finish[last_writer[r]]` lookup needs only the
-//!   most recent writer of each register, never the full array;
+//!   the recurrence only ever reads the finish time of each source
+//!   register's most recent writer;
 //! * the issue-cycle histogram behind `S_W` only ever holds cycles in
 //!   `(s, max_issue]` (everything at or below the rising pointer `s`
 //!   has been consumed), so it lives in a power-of-two *ring* whose
 //!   slots are zeroed as `s` passes them.
 //!
-//! The result is `O(window sizes × (registers + live cycle span))`
-//! state — independent of trace length — while producing *bit
-//! identical* issue cycles to the batch kernel (property-tested in
-//! `tests/streaming_property.rs`).
+//! That is `O(window sizes × (registers + live cycle span))` state,
+//! plus one fixed chunk of resolved instructions that the window states
+//! run over in turn (see [`IwSweep::push`]). The slice entry points [`iw::characteristic`] and
+//! [`iw::ipc_at_window`] push through the same kernel;
+//! `tests/streaming_property.rs` pins it bit-identical to the
+//! cycle-stepped oracle.
 
 use fosm_isa::{Inst, LatencyTable, Op, NUM_OP_CLASSES, NUM_REGS};
 
@@ -25,18 +49,26 @@ use crate::iw::{self, IwPoint};
 use crate::{powerlaw, FitError, IwCharacteristic};
 
 /// Read sentinel: a permanently-zero `reg_finish` slot standing in for
-/// "no in-trace producer" (the batch kernel's `finish[0]`).
+/// "no in-trace producer".
 const NO_PRODUCER: usize = NUM_REGS;
 /// Write sink: the `reg_finish` slot destination-less instructions
 /// write to, so the hot loop needs no branch on `inst.dest`. Distinct
 /// from [`NO_PRODUCER`], which must stay zero.
 const NO_DEST: usize = NUM_REGS + 1;
 
-/// Per-window-size streaming state of the issue recurrence.
-///
-/// Mirrors one `total_cycles` sweep of the batch kernel: `s`/`cnt_gt`
-/// maintain `S_W`, `reg_finish` replaces the producer finish array,
-/// and `hist` is the issue-cycle histogram folded into a ring.
+/// One instruction resolved for the window states: its two source
+/// slots, its destination slot (all `< NUM_REGS + 2`, so they fit a
+/// byte) and its result latency.
+type Resolved = (u8, u8, u8, u32);
+
+/// Instructions resolved and buffered before every window state runs
+/// over them.
+const CHUNK: usize = 256;
+
+/// Per-window-size streaming state of the issue recurrence: `s` and
+/// `cnt_gt` maintain `S_W`, `reg_finish` holds each register's
+/// last-writer finish time, and `hist` is the issue-cycle histogram
+/// folded into a ring.
 #[derive(Debug, Clone)]
 struct WindowState {
     /// Window size `W` of this sweep.
@@ -68,38 +100,46 @@ impl WindowState {
         }
     }
 
-    /// Advances the recurrence by one instruction whose sources and
-    /// destination were resolved to `reg_finish` slots by the caller
-    /// (shared across all window states); identical arithmetic to the
-    /// batch kernel's inner loop.
-    fn push(&mut self, r0: usize, r1: usize, dest: usize, lat: u64) {
-        let mut t = self.s + 1;
-        let f0 = self.reg_finish[r0];
-        if f0 > t {
-            t = f0;
+    /// Advances the recurrence over a run of instructions whose sources
+    /// and destination were resolved to `reg_finish` slots by the
+    /// caller (shared across all window states).
+    ///
+    /// `s` is the smallest cycle with fewer than `W` prior issues above
+    /// it (`S_W` once `W` instructions have been seen, 0 before — which
+    /// also folds the `max(1, ..)` base of the recurrence into
+    /// `s + 1`). Every new issue cycle is at least `s + 1`, so `s`
+    /// never moves backwards and the advance loop costs `O(total
+    /// cycles)` across the whole sweep.
+    fn run(&mut self, ops: &[Resolved]) {
+        let w = self.w;
+        // The loop-carried scalars live in locals for the whole run.
+        let (mut s, mut cnt_gt, mut max_issue) = (self.s, self.cnt_gt, self.max_issue);
+        for &(r0, r1, dest, lat) in ops {
+            let t = (s + 1)
+                .max(self.reg_finish[r0 as usize])
+                .max(self.reg_finish[r1 as usize]);
+            if t - s >= self.hist.len() as u64 {
+                self.s = s;
+                self.max_issue = max_issue;
+                self.grow(t);
+            }
+            let mask = self.hist.len() as u64 - 1;
+            self.hist[(t & mask) as usize] += 1;
+            cnt_gt += 1; // t > s always, by construction
+            while cnt_gt >= w {
+                s += 1;
+                let slot = (s & mask) as usize;
+                cnt_gt -= self.hist[slot] as u64;
+                // Cycle `s` leaves the live range for good; free its
+                // slot so the ring can represent cycle `s + len` later.
+                self.hist[slot] = 0;
+            }
+            max_issue = max_issue.max(t);
+            self.reg_finish[dest as usize] = t + lat as u64;
         }
-        let f1 = self.reg_finish[r1];
-        if f1 > t {
-            t = f1;
-        }
-        if t - self.s >= self.hist.len() as u64 {
-            self.grow(t);
-        }
-        let mask = self.hist.len() as u64 - 1;
-        self.hist[(t & mask) as usize] += 1;
-        self.cnt_gt += 1; // t > s always, by construction
-        while self.cnt_gt >= self.w {
-            self.s += 1;
-            let slot = (self.s & mask) as usize;
-            self.cnt_gt -= self.hist[slot] as u64;
-            // Cycle `s` leaves the live range for good; free its slot
-            // so the ring can represent cycle `s + len` later.
-            self.hist[slot] = 0;
-        }
-        if t > self.max_issue {
-            self.max_issue = t;
-        }
-        self.reg_finish[dest] = t + lat;
+        self.s = s;
+        self.cnt_gt = cnt_gt;
+        self.max_issue = max_issue;
     }
 
     /// Grows the ring so cycle `t` maps to a fresh slot (called when
@@ -140,14 +180,18 @@ impl WindowState {
 /// for inst in &insts {
 ///     sweep.push(inst);
 /// }
-/// let batch = iw::characteristic(&insts, &iw::DEFAULT_WINDOW_SIZES, &LatencyTable::unit());
-/// assert_eq!(sweep.finish().points(), &batch[..]);
+/// for point in sweep.finish().points() {
+///     let oracle = iw::reference::ipc_at_window(&insts, point.window, &LatencyTable::unit());
+///     assert_eq!(point.ipc, oracle);
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct IwSweep {
     windows: Vec<u32>,
     latencies: LatencyTable,
     states: Vec<WindowState>,
+    /// Resolved instructions not yet run through the window states.
+    pending: Vec<Resolved>,
     instructions: u64,
     mix: [u64; NUM_OP_CLASSES],
     loads: u64,
@@ -163,6 +207,7 @@ impl IwSweep {
         IwSweep {
             windows: window_sizes.to_vec(),
             states: window_sizes.iter().map(|&w| WindowState::new(w)).collect(),
+            pending: Vec::with_capacity(CHUNK),
             latencies,
             instructions: 0,
             mix: [0; NUM_OP_CLASSES],
@@ -178,10 +223,15 @@ impl IwSweep {
     /// Streams one instruction through every window-size state.
     ///
     /// Sources, destination, and latency are resolved once here and
-    /// shared across all window states, matching the batch kernel's
-    /// one-time `resolve_dataflow` pass.
+    /// shared across all window states. Resolved instructions are
+    /// buffered and every window state runs over each full chunk in
+    /// turn: one state's register file and histogram stay hot in cache
+    /// and its loop-carried scalars in registers, instead of all states
+    /// being cycled through for every instruction. Each state still
+    /// sees the instructions in program order, so the result is the
+    /// same.
     pub fn push(&mut self, inst: &Inst) {
-        let lat = self.latencies.latency(inst.op) as u64;
+        let lat = self.latencies.latency(inst.op);
         let (mut r0, mut r1) = (NO_PRODUCER, NO_PRODUCER);
         for (slot, src) in inst.sources().enumerate() {
             if slot == 0 {
@@ -191,14 +241,22 @@ impl IwSweep {
             }
         }
         let dest = inst.dest.map_or(NO_DEST, |d| d.index());
-        for state in &mut self.states {
-            state.push(r0, r1, dest, lat);
+        self.pending.push((r0 as u8, r1 as u8, dest as u8, lat));
+        if self.pending.len() == CHUNK {
+            self.run_pending();
         }
         self.instructions += 1;
         self.mix[inst.op.index()] += 1;
         if inst.op == Op::Load {
             self.loads += 1;
         }
+    }
+
+    fn run_pending(&mut self) {
+        for state in &mut self.states {
+            state.run(&self.pending);
+        }
+        self.pending.clear();
     }
 
     /// Instructions pushed so far.
@@ -213,7 +271,8 @@ impl IwSweep {
 
     /// Closes the sweep: measured `(W, IPC)` points plus the op-class
     /// mix, ready to be finalized per probe.
-    pub fn finish(self) -> IwAnalysis {
+    pub fn finish(mut self) -> IwAnalysis {
+        self.run_pending();
         if self.instructions > 0 {
             let _sweep = fosm_obs::span("iw.characteristic");
             fosm_obs::counter_add("iw.sweep.instructions", self.instructions);
@@ -330,8 +389,19 @@ mod tests {
         sweep.finish().points().to_vec()
     }
 
+    /// The cycle-stepped oracle's points for the same windows.
+    fn oracle_points(insts: &[Inst], windows: &[u32], lat: &LatencyTable) -> Vec<IwPoint> {
+        windows
+            .iter()
+            .map(|&window| IwPoint {
+                window,
+                ipc: iw::reference::ipc_at_window(insts, window, lat),
+            })
+            .collect()
+    }
+
     #[test]
-    fn matches_batch_kernel_on_structured_traces() {
+    fn matches_the_reference_on_structured_traces() {
         let mut mixed = chain(64);
         mixed.extend((0..64u64).map(|i| {
             Inst::alu(
@@ -344,9 +414,9 @@ mod tests {
         }));
         for insts in [chain(100), mixed] {
             for lat in [LatencyTable::unit(), LatencyTable::default()] {
-                let batch = iw::characteristic(&insts, &iw::DEFAULT_WINDOW_SIZES, &lat);
+                let oracle = oracle_points(&insts, &iw::DEFAULT_WINDOW_SIZES, &lat);
                 let streamed = sweep_points(&insts, &iw::DEFAULT_WINDOW_SIZES, &lat);
-                assert_eq!(batch, streamed);
+                assert_eq!(oracle, streamed);
             }
         }
     }
@@ -370,7 +440,7 @@ mod tests {
     fn ring_histogram_survives_long_latency_gaps() {
         // An IntDiv chain stretches consecutive issue cycles by the
         // division latency, forcing ring growth past the initial
-        // capacity; results must still match the batch kernel.
+        // capacity; results must still match the oracle.
         let insts: Vec<Inst> = (0..3000)
             .map(|i| {
                 Inst::alu(
@@ -383,8 +453,8 @@ mod tests {
             })
             .collect();
         let lat = LatencyTable::default();
-        let batch = iw::characteristic(&insts, &[2, 64], &lat);
-        assert_eq!(sweep_points(&insts, &[2, 64], &lat), batch);
+        let oracle = oracle_points(&insts, &[2, 64], &lat);
+        assert_eq!(sweep_points(&insts, &[2, 64], &lat), oracle);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Property test: the streaming IW sweep ([`fosm_depgraph::IwSweep`])
-//! is *exactly* equivalent to the batch kernel on randomized traces —
-//! same `(W, IPC)` points bit for bit, across window sizes and both
-//! the unit and realistic latency tables.
+//! Property test: the IW kernel ([`fosm_depgraph::IwSweep`], and the
+//! `iw::characteristic` slice wrapper around it) is *exactly*
+//! equivalent to the cycle-stepped oracle (`iw::reference`) on
+//! randomized traces — same `(W, IPC)` points bit for bit, across
+//! window sizes and both the unit and realistic latency tables.
 
 use fosm_depgraph::{iw, IwSweep};
 use fosm_isa::{Inst, LatencyTable, Op, Reg};
@@ -58,7 +59,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn streaming_sweep_matches_batch_kernel(
+    fn streaming_sweep_matches_the_reference(
         raw in prop::collection::vec(inst_strategy(), 1..200),
         window in 1u32..40,
     ) {
@@ -69,24 +70,28 @@ proptest! {
         let mut windows = vec![window];
         windows.extend_from_slice(&iw::DEFAULT_WINDOW_SIZES);
         for latencies in [LatencyTable::unit(), LatencyTable::default()] {
-            let batch = iw::characteristic(&insts, &windows, &latencies);
             let mut sweep = IwSweep::new(&windows, latencies.clone());
             for inst in &insts {
                 sweep.push(inst);
             }
             let analysis = sweep.finish();
             prop_assert_eq!(analysis.instructions(), insts.len() as u64);
-            prop_assert_eq!(analysis.points().len(), batch.len());
-            for (streamed, batched) in analysis.points().iter().zip(&batch) {
-                prop_assert_eq!(streamed.window, batched.window);
+            prop_assert_eq!(
+                &iw::characteristic(&insts, &windows, &latencies)[..],
+                analysis.points()
+            );
+            prop_assert_eq!(analysis.points().len(), windows.len());
+            for (streamed, &window) in analysis.points().iter().zip(&windows) {
+                let oracle = iw::reference::ipc_at_window(&insts, window, &latencies);
+                prop_assert_eq!(streamed.window, window);
                 prop_assert_eq!(
                     streamed.ipc.to_bits(),
-                    batched.ipc.to_bits(),
-                    "window {} over {} insts: streamed {} != batch {}",
-                    streamed.window,
+                    oracle.to_bits(),
+                    "window {} over {} insts: streamed {} != reference {}",
+                    window,
                     insts.len(),
                     streamed.ipc,
-                    batched.ipc
+                    oracle
                 );
             }
         }

@@ -19,13 +19,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use fosm_bench::harness;
 use fosm_bench::store::ArtifactStore;
-use fosm_branch::PredictorConfig;
-use fosm_cache::HierarchyConfig;
-use fosm_core::model::FirstOrderModel;
+use fosm_core::model::{Estimate, FirstOrderModel};
 use fosm_core::params::ProcessorParams;
 use fosm_core::profile::{Probe, ProgramProfile};
-use fosm_sim::MachineConfig;
+use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_validate::ToleranceSpec;
 use fosm_workloads::BenchmarkSpec;
 
@@ -156,28 +155,14 @@ impl Service {
         Ok(format!("{json}\n"))
     }
 
-    /// `model`: profile + first-order evaluation, rendered with the
-    /// same format strings as `fosm model`.
+    /// `model`: profile + first-order evaluation, rendered by
+    /// [`render_estimate`] exactly as `fosm model` prints it.
     fn model(&self, p: &ProfileRequest) -> Result<String, Response> {
         let (params, profile) = self.collect(p)?;
         let est = FirstOrderModel::new(params)
             .evaluate(&profile)
             .map_err(|e| Response::err("model-error", e.to_string()))?;
-        let mut out = format!("first-order model estimate for `{}`:\n", profile.name);
-        for (component, cpi) in est.cpi_stack() {
-            out.push_str(&format!("  {component:<10} {cpi:>7.4} CPI\n"));
-        }
-        out.push_str(&format!(
-            "  {:<10} {:>7.4} CPI   ({:.3} IPC)\n",
-            "total",
-            est.total_cpi(),
-            est.total_ipc()
-        ));
-        out.push_str(&format!(
-            "  penalties: branch {:.1}, icache {:.1}, dcache/miss {:.1} cycles\n",
-            est.branch_penalty, est.icache_penalty, est.dcache_penalty_per_miss
-        ));
-        Ok(out)
+        Ok(render_estimate(&profile.name, &est))
     }
 
     /// `validate`: one workload's differential comparison, rendered
@@ -188,15 +173,7 @@ impl Service {
             .machine
             .to_params()
             .map_err(|e| Response::err("bad-request", e))?;
-        let config = MachineConfig {
-            width: params.width,
-            win_size: params.win_size,
-            rob_size: params.rob_size,
-            pipe_depth: params.pipe_depth,
-            l2_latency: params.l2_latency,
-            mem_latency: params.mem_latency,
-            ..MachineConfig::baseline()
-        };
+        let config = harness::config_of(&params);
         config
             .validate()
             .map_err(|e| Response::err("bad-request", e))?;
@@ -246,9 +223,7 @@ impl Service {
         let variants = axes.variants();
         let variant = variants[0];
         let params = ProcessorParams::baseline();
-        let probe = Probe::new(format!("{}:explore", e.bench))
-            .with_hierarchy(HierarchyConfig::baseline())
-            .with_predictor(PredictorConfig::baseline());
+        let probe = Probe::new(format!("{}:explore", e.bench));
         let profile = self
             .batcher
             .profile(&self.store, &params, probe, &spec, e.insts, e.seed)
@@ -396,45 +371,39 @@ pub fn find_benchmark(name: &str) -> Result<BenchmarkSpec, String> {
         .ok_or_else(|| format!("unknown benchmark `{name}` (see `fosm bench-list`)"))
 }
 
-/// Builds one named probe variant over the baseline hierarchy. Mirrors
-/// the CLI's `--probes` variants: the full machine plus the four
-/// single-source idealizations from the validation suite.
+/// Builds the probe for one named simulation set (see
+/// [`SimulationSet::parse`]) of the baseline machine, named
+/// `{trace}:{name}` — the same probes `fosm profile --probes` builds.
 ///
 /// # Errors
 ///
-/// An unknown variant name.
+/// An unknown simulation-set name.
 pub fn probe_variant(name: &str, trace: &str) -> Result<Probe, String> {
-    let hierarchy = HierarchyConfig::baseline();
-    let ideal = HierarchyConfig::ideal();
-    let probe = Probe::new(format!("{trace}:{name}"));
-    Ok(match name {
-        "full" => probe.with_hierarchy(hierarchy),
-        "ideal" => probe
-            .with_hierarchy(ideal)
-            .with_predictor(PredictorConfig::Ideal),
-        "branch" => probe.with_hierarchy(ideal),
-        "icache" => probe
-            .with_hierarchy(HierarchyConfig {
-                l1i: hierarchy.l1i,
-                l1d: None,
-                l2: hierarchy.l2,
-                next_line_prefetch: 0,
-            })
-            .with_predictor(PredictorConfig::Ideal),
-        "dcache" => probe
-            .with_hierarchy(HierarchyConfig {
-                l1i: None,
-                l1d: hierarchy.l1d,
-                l2: hierarchy.l2,
-                next_line_prefetch: hierarchy.next_line_prefetch,
-            })
-            .with_predictor(PredictorConfig::Ideal),
-        other => {
-            return Err(format!(
-                "unknown probe `{other}` (expected full, ideal, branch, icache, or dcache)"
-            ))
-        }
-    })
+    let set = SimulationSet::parse(name)?;
+    Ok(harness::probe_of(
+        &MachineConfig::baseline().simulation_set(set),
+        format!("{trace}:{name}"),
+    ))
+}
+
+/// Renders an estimate's CPI stack, total and penalties — the text both
+/// `fosm model` and the daemon's `model` request answer with.
+pub fn render_estimate(name: &str, est: &Estimate) -> String {
+    let mut out = format!("first-order model estimate for `{name}`:\n");
+    for (component, cpi) in est.cpi_stack() {
+        out.push_str(&format!("  {component:<10} {cpi:>7.4} CPI\n"));
+    }
+    out.push_str(&format!(
+        "  {:<10} {:>7.4} CPI   ({:.3} IPC)\n",
+        "total",
+        est.total_cpi(),
+        est.total_ipc()
+    ));
+    out.push_str(&format!(
+        "  penalties: branch {:.1}, icache {:.1}, dcache/miss {:.1} cycles\n",
+        est.branch_penalty, est.icache_penalty, est.dcache_penalty_per_miss
+    ));
+    out
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.win_size, 48);
 /// cfg.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineConfig {
     /// Fetch = pipeline = dispatch = issue = retire width (`i`).
     pub width: u32,
@@ -166,6 +166,63 @@ impl FetchBufferConfig {
     }
 }
 
+/// The paper's five simulation sets (§5): the full machine, every
+/// miss-event source idealized, and one set per source with only that
+/// source left real. [`MachineConfig::simulation_set`] derives each
+/// from a configuration; the validation suite, `fosm profile --probes`
+/// and the daemon's probes all name them the same way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SimulationSet {
+    /// The machine as configured.
+    Full,
+    /// Perfect caches, branch prediction and TLB (simulation set 1).
+    Ideal,
+    /// Only the branch predictor real (simulation set 3).
+    Branch,
+    /// Only the instruction cache real (simulation set 4).
+    ICache,
+    /// Only the data side real: data cache, its prefetcher and the data
+    /// TLB (simulation set 5).
+    DCache,
+}
+
+impl SimulationSet {
+    /// Every set, in the `[full, ideal, branch, icache, dcache]` order
+    /// the validation rows are computed in.
+    pub const ALL: [SimulationSet; 5] = [
+        SimulationSet::Full,
+        SimulationSet::Ideal,
+        SimulationSet::Branch,
+        SimulationSet::ICache,
+        SimulationSet::DCache,
+    ];
+
+    /// Stable lower-case name (used in flags, probe names and requests).
+    pub fn name(self) -> &'static str {
+        match self {
+            SimulationSet::Full => "full",
+            SimulationSet::Ideal => "ideal",
+            SimulationSet::Branch => "branch",
+            SimulationSet::ICache => "icache",
+            SimulationSet::DCache => "dcache",
+        }
+    }
+
+    /// Parses a stable name back to a set.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown value and lists the accepted ones.
+    pub fn parse(name: &str) -> Result<SimulationSet, String> {
+        SimulationSet::ALL
+            .into_iter()
+            .find(|set| set.name() == name)
+            .ok_or_else(|| {
+                format!("unknown probe `{name}` (expected full, ideal, branch, icache, or dcache)")
+            })
+    }
+}
+
 impl MachineConfig {
     /// The paper's baseline processor (§1.1).
     pub fn baseline() -> Self {
@@ -186,49 +243,46 @@ impl MachineConfig {
         }
     }
 
-    /// Baseline with every miss-event source idealized: perfect caches
-    /// and perfect branch prediction (the paper's simulation set 1).
+    /// Baseline with every miss-event source idealized (the paper's
+    /// simulation set 1): `baseline().simulation_set(SimulationSet::Ideal)`.
     pub fn ideal() -> Self {
-        MachineConfig {
-            hierarchy: HierarchyConfig::ideal(),
-            predictor: PredictorConfig::Ideal,
-            ..Self::baseline()
-        }
+        Self::baseline().simulation_set(SimulationSet::Ideal)
     }
 
-    /// Everything ideal *except* the branch predictor (simulation set 3).
-    pub fn only_real_branch_predictor() -> Self {
+    /// This machine as one of the paper's simulation sets (§5): the
+    /// full machine, or a copy with every miss-event source idealized
+    /// except the named one. Structural parameters and the other §7
+    /// extensions carry over unchanged, so the sets can be derived from
+    /// any configuration, not just the baseline; the data TLB counts as
+    /// a miss-event source of the data side.
+    pub fn simulation_set(&self, set: SimulationSet) -> Self {
+        let h = self.hierarchy;
+        let (hierarchy, predictor, dtlb) = match set {
+            SimulationSet::Full => return self.clone(),
+            SimulationSet::Ideal => (HierarchyConfig::ideal(), PredictorConfig::Ideal, None),
+            SimulationSet::Branch => (HierarchyConfig::ideal(), self.predictor, None),
+            SimulationSet::ICache => (
+                HierarchyConfig {
+                    l1d: None,
+                    next_line_prefetch: 0,
+                    ..h
+                },
+                PredictorConfig::Ideal,
+                None,
+            ),
+            // The data TLB stays real: the simulator charges its walks
+            // to loads, so it belongs to the data side.
+            SimulationSet::DCache => (
+                HierarchyConfig { l1i: None, ..h },
+                PredictorConfig::Ideal,
+                self.dtlb,
+            ),
+        };
         MachineConfig {
-            hierarchy: HierarchyConfig::ideal(),
-            ..Self::baseline()
-        }
-    }
-
-    /// Everything ideal *except* the instruction cache (simulation set 4).
-    pub fn only_real_icache() -> Self {
-        MachineConfig {
-            hierarchy: HierarchyConfig {
-                l1i: HierarchyConfig::baseline().l1i,
-                l1d: None,
-                l2: HierarchyConfig::baseline().l2,
-                next_line_prefetch: 0,
-            },
-            predictor: PredictorConfig::Ideal,
-            ..Self::baseline()
-        }
-    }
-
-    /// Everything ideal *except* the data cache (simulation set 5).
-    pub fn only_real_dcache() -> Self {
-        MachineConfig {
-            hierarchy: HierarchyConfig {
-                l1i: None,
-                l1d: HierarchyConfig::baseline().l1d,
-                l2: HierarchyConfig::baseline().l2,
-                next_line_prefetch: 0,
-            },
-            predictor: PredictorConfig::Ideal,
-            ..Self::baseline()
+            hierarchy,
+            predictor,
+            dtlb,
+            ..self.clone()
         }
     }
 
@@ -333,21 +387,91 @@ mod tests {
     }
 
     #[test]
-    fn idealization_presets() {
-        let ideal = MachineConfig::ideal();
-        assert!(ideal.predictor.is_ideal());
-        assert!(ideal.hierarchy.l1i.is_none() && ideal.hierarchy.l1d.is_none());
+    fn simulation_sets_name_and_parse_in_order() {
+        let names: Vec<&str> = SimulationSet::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(names, ["full", "ideal", "branch", "icache", "dcache"]);
+        for set in SimulationSet::ALL {
+            assert_eq!(SimulationSet::parse(set.name()), Ok(set));
+        }
+        assert_eq!(
+            SimulationSet::parse("l2").unwrap_err(),
+            "unknown probe `l2` (expected full, ideal, branch, icache, or dcache)"
+        );
+    }
 
-        let bp = MachineConfig::only_real_branch_predictor();
-        assert!(!bp.predictor.is_ideal());
-        assert!(bp.hierarchy.l1d.is_none());
+    #[test]
+    fn full_set_is_the_identity() {
+        let config = MachineConfig::baseline()
+            .with_width(8)
+            .with_dtlb(TlbConfig::baseline())
+            .with_fu_limits(FuPool::alpha_like());
+        assert_eq!(config.simulation_set(SimulationSet::Full), config);
+    }
 
-        let ic = MachineConfig::only_real_icache();
-        assert!(ic.predictor.is_ideal());
-        assert!(ic.hierarchy.l1i.is_some() && ic.hierarchy.l1d.is_none());
+    #[test]
+    fn baseline_sets_equal_the_former_presets() {
+        // The per-source presets these sets replace, spelled out: the
+        // baseline with everything but one source idealized.
+        let base = MachineConfig::baseline();
+        let only = |hierarchy, predictor| MachineConfig {
+            hierarchy,
+            predictor,
+            ..MachineConfig::baseline()
+        };
+        let (h, real) = (HierarchyConfig::baseline(), PredictorConfig::baseline());
+        let ideal_h = HierarchyConfig::ideal();
+        let ideal_p = PredictorConfig::Ideal;
+        assert_eq!(
+            base.simulation_set(SimulationSet::Ideal),
+            MachineConfig::ideal()
+        );
+        assert_eq!(MachineConfig::ideal(), only(ideal_h, ideal_p));
+        assert_eq!(
+            base.simulation_set(SimulationSet::Branch),
+            only(ideal_h, real)
+        );
+        let icache = HierarchyConfig { l1d: None, ..h };
+        assert_eq!(
+            base.simulation_set(SimulationSet::ICache),
+            only(icache, ideal_p)
+        );
+        let dcache = HierarchyConfig { l1i: None, ..h };
+        assert_eq!(
+            base.simulation_set(SimulationSet::DCache),
+            only(dcache, ideal_p)
+        );
+    }
 
-        let dc = MachineConfig::only_real_dcache();
-        assert!(dc.hierarchy.l1d.is_some() && dc.hierarchy.l1i.is_none());
+    #[test]
+    fn each_set_keeps_only_its_own_sources_real() {
+        let mut config = MachineConfig::baseline()
+            .with_width(8)
+            .with_pipe_depth(9)
+            .with_dtlb(TlbConfig::baseline());
+        config.hierarchy = config.hierarchy.with_next_line_prefetch(2);
+        // (set, predictor real, I-cache real, data side real)
+        for (set, bp, ic, dc) in [
+            (SimulationSet::Full, true, true, true),
+            (SimulationSet::Ideal, false, false, false),
+            (SimulationSet::Branch, true, false, false),
+            (SimulationSet::ICache, false, true, false),
+            (SimulationSet::DCache, false, false, true),
+        ] {
+            let v = config.simulation_set(set);
+            assert_eq!(!v.predictor.is_ideal(), bp, "{set:?}");
+            assert_eq!(v.hierarchy.l1i.is_some(), ic, "{set:?}");
+            assert_eq!(v.hierarchy.l2.is_some(), ic || dc, "{set:?}");
+            assert_eq!(v.hierarchy.l1d.is_some(), dc, "{set:?}");
+            assert_eq!(v.hierarchy.next_line_prefetch == 2, dc, "{set:?}");
+            assert_eq!(v.dtlb.is_some(), dc, "{set:?}");
+            // Structural parameters follow the configuration.
+            assert_eq!((v.width, v.pipe_depth), (8, 9), "{set:?}");
+            assert_eq!(
+                (v.win_size, v.mem_latency),
+                (config.win_size, config.mem_latency)
+            );
+            v.validate().unwrap();
+        }
     }
 
     #[test]

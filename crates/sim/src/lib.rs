@@ -41,7 +41,7 @@ mod config;
 mod machine;
 mod report;
 
-pub use config::{ClusterConfig, FetchBufferConfig, MachineConfig, Steering};
+pub use config::{ClusterConfig, FetchBufferConfig, MachineConfig, SimulationSet, Steering};
 pub use fosm_branch::PredictorConfig;
 pub use fosm_obs::event::{EventKind, TraceEvent};
 pub use machine::Machine;

@@ -4,8 +4,9 @@
 //! the model *per component* by simulating machine variants with
 //! exactly one miss-event source left real (its "simulation sets",
 //! §5). This module derives those variants from an arbitrary
-//! [`MachineConfig`] — not just the baseline — so every validation
-//! case, fuzz case, and CI gate uses the same methodology:
+//! [`MachineConfig`] — not just the baseline — through
+//! [`MachineConfig::simulation_set`], so every validation case, fuzz
+//! case, and CI gate uses the same methodology:
 //!
 //! | component | model value                             | simulator reference            |
 //! |-----------|-----------------------------------------|--------------------------------|
@@ -25,17 +26,17 @@
 //! out and attributes it to the d-cache component where the simulator
 //! puts it.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use fosm_bench::harness;
 use fosm_bench::par;
 use fosm_bench::store::ArtifactStore;
-use fosm_branch::PredictorConfig;
-use fosm_cache::HierarchyConfig;
-use fosm_core::model::FirstOrderModel;
-use fosm_core::profile::{Probe, ProbeBank};
+use fosm_core::model::{Estimate, FirstOrderModel};
+use fosm_core::profile::{ProbeBank, ProgramProfile};
 use fosm_core::ModelError;
-use fosm_sim::MachineConfig;
+use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_workloads::BenchmarkSpec;
 
 use crate::events::{self, EventClassDiff};
@@ -115,71 +116,43 @@ impl CaseSpec {
     /// The all-ideal variant (simulation set 1): perfect caches,
     /// perfect branch prediction, perfect TLB.
     pub fn ideal_variant(&self) -> MachineConfig {
-        ideal_variant_of(&self.config)
+        self.config.simulation_set(SimulationSet::Ideal)
     }
 
     /// Only the branch predictor real (simulation set 3).
     pub fn branch_variant(&self) -> MachineConfig {
-        branch_variant_of(&self.config)
+        self.config.simulation_set(SimulationSet::Branch)
     }
 
     /// Only the instruction cache real (simulation set 4).
     pub fn icache_variant(&self) -> MachineConfig {
-        icache_variant_of(&self.config)
+        self.config.simulation_set(SimulationSet::ICache)
     }
 
     /// Only the data side real (simulation set 5): data cache plus the
     /// data TLB, whose misses the simulator also charges to loads.
     pub fn dcache_variant(&self) -> MachineConfig {
-        dcache_variant_of(&self.config)
+        self.config.simulation_set(SimulationSet::DCache)
     }
 }
 
-/// The all-ideal variant of an arbitrary configuration (simulation
-/// set 1): perfect caches, perfect branch prediction, perfect TLB.
-pub fn ideal_variant_of(config: &MachineConfig) -> MachineConfig {
-    MachineConfig {
-        hierarchy: HierarchyConfig::ideal(),
-        predictor: PredictorConfig::Ideal,
-        dtlb: None,
-        ..config.clone()
-    }
+/// The five simulation sets of `config`, in [`SimulationSet::ALL`]
+/// order — the order [`compare_components`] consumes.
+fn simulation_sets(config: &MachineConfig) -> [MachineConfig; 5] {
+    SimulationSet::ALL.map(|set| config.simulation_set(set))
 }
 
-/// Only the branch predictor real (simulation set 3).
-pub fn branch_variant_of(config: &MachineConfig) -> MachineConfig {
-    MachineConfig {
-        predictor: config.predictor,
-        ..ideal_variant_of(config)
-    }
-}
-
-/// Only the instruction cache real (simulation set 4).
-pub fn icache_variant_of(config: &MachineConfig) -> MachineConfig {
-    MachineConfig {
-        hierarchy: HierarchyConfig {
-            l1i: config.hierarchy.l1i,
-            l1d: None,
-            l2: config.hierarchy.l2,
-            next_line_prefetch: 0,
-        },
-        ..ideal_variant_of(config)
-    }
-}
-
-/// Only the data side real (simulation set 5): data cache plus the
-/// data TLB, whose misses the simulator also charges to loads.
-pub fn dcache_variant_of(config: &MachineConfig) -> MachineConfig {
-    MachineConfig {
-        hierarchy: HierarchyConfig {
-            l1i: None,
-            l1d: config.hierarchy.l1d,
-            l2: config.hierarchy.l2,
-            next_line_prefetch: config.hierarchy.next_line_prefetch,
-        },
-        dtlb: config.dtlb,
-        ..ideal_variant_of(config)
-    }
+/// The model's estimate on each of the five simulation-set profiles,
+/// in order.
+fn estimates(
+    model: &FirstOrderModel,
+    profiles: &[Arc<ProgramProfile>],
+) -> Result<[Estimate; 5], ModelError> {
+    let ests = profiles
+        .iter()
+        .map(|p| model.evaluate(p))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(ests.try_into().expect("one profile per simulation set"))
 }
 
 /// One component's model-vs-simulator comparison.
@@ -293,12 +266,12 @@ fn run_case_with(
     // Detailed-simulator references: the full machine and the four
     // idealization variants, all config-derived. The full machine runs
     // traced so its miss-event stream feeds the per-event diff below.
-    let traced_full = store.simulate_traced(&case.config, spec, n, seed);
-    let sim_full = &traced_full.0;
-    let sim_ideal = store.simulate(&case.ideal_variant(), spec, n, seed);
-    let sim_branch = store.simulate(&case.branch_variant(), spec, n, seed);
-    let sim_icache = store.simulate(&case.icache_variant(), spec, n, seed);
-    let sim_dcache = store.simulate(&case.dcache_variant(), spec, n, seed);
+    let variants = simulation_sets(&case.config);
+    let traced_full = store.simulate_traced(&variants[0], spec, n, seed);
+    let mut sims = [traced_full.0.cpi(); 5];
+    for (slot, config) in sims.iter_mut().zip(&variants).skip(1) {
+        *slot = store.simulate(config, spec, n, seed).cpi();
+    }
 
     // Model inputs, matched to the simulation sets: each component's
     // model value is computed from a profile collected under *that
@@ -312,49 +285,19 @@ fn run_case_with(
     // interactions the first-order model ignores show up there, not
     // smeared over the per-component rows.
     let params = harness::params_of(&case.config);
-    let probe_of = |config: &fosm_sim::MachineConfig| Probe {
-        hierarchy: config.hierarchy,
-        predictor: config.predictor,
-        dtlb: None,
-        name: spec.name.clone(),
-    };
-    let bank: ProbeBank = [
-        probe_of(&case.config),
-        probe_of(&case.ideal_variant()),
-        probe_of(&case.branch_variant()),
-        probe_of(&case.icache_variant()),
-        probe_of(&case.dcache_variant()),
-    ]
-    .into_iter()
-    .collect();
+    let bank: ProbeBank = variants
+        .iter()
+        .map(|config| harness::probe_of(config, spec.name.clone()))
+        .collect();
     let profiles = store.profile_many(&params, &bank, spec, n, seed)?;
-    let [profile_full, profile_ideal, profile_branch, profile_icache, profile_dcache]: [_; 5] =
-        profiles
-            .try_into()
-            .expect("profile_many returns one profile per probe");
     let model = FirstOrderModel::new(params.clone());
-    let est_full = model.evaluate(&profile_full)?;
-    let est_ideal = model.evaluate(&profile_ideal)?;
-    let est_branch = model.evaluate(&profile_branch)?;
-    let est_icache = model.evaluate(&profile_icache)?;
-    let est_dcache = model.evaluate(&profile_dcache)?;
-
-    let components = compare_components(
-        [&est_full, &est_ideal, &est_branch, &est_icache, &est_dcache],
-        [
-            sim_full.cpi(),
-            sim_ideal.cpi(),
-            sim_branch.cpi(),
-            sim_icache.cpi(),
-            sim_dcache.cpi(),
-        ],
-        tol,
-    );
+    let ests = estimates(&model, &profiles)?;
+    let components = compare_components(&ests, sims, tol);
 
     // Per-event diff: the model's effective per-event penalties (from
     // the full-machine estimate) against the traced event stream.
-    let penalties = fosm_core::EventPenalties::from_estimate(&est_full, &profile_full);
-    let event_diff = events::diff(&traced_full.1, &penalties, &profile_full, &params);
+    let penalties = fosm_core::EventPenalties::from_estimate(&ests[0], &profiles[0]);
+    let event_diff = events::diff(&traced_full.1, &penalties, &profiles[0], &params);
 
     let statsim_cpi = statsim.then(|| {
         use fosm_statsim::{CollectorConfig, StatMachine, StatProfile, SynthesizedTrace};
@@ -377,7 +320,7 @@ fn run_case_with(
 /// workload and corpus case paths. Estimates and simulator CPIs are
 /// both ordered `[full, ideal, branch, icache, dcache]`.
 fn compare_components(
-    ests: [&fosm_core::model::Estimate; 5],
+    ests: &[Estimate; 5],
     sims: [f64; 5],
     tol: &ToleranceSpec,
 ) -> Vec<ComponentRow> {
@@ -458,13 +401,7 @@ pub fn run_corpus_case(
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| case.path.display().to_string());
 
-    let variants = [
-        case.config.clone(),
-        ideal_variant_of(&case.config),
-        branch_variant_of(&case.config),
-        icache_variant_of(&case.config),
-        dcache_variant_of(&case.config),
-    ];
+    let variants = simulation_sets(&case.config);
     let mut sims = [0.0f64; 5];
     for (slot, config) in sims.iter_mut().zip(&variants) {
         *slot = store.simulate_corpus(config, &corpus)?.cpi();
@@ -473,27 +410,11 @@ pub fn run_corpus_case(
     let params = harness::params_of(&case.config);
     let bank: ProbeBank = variants
         .iter()
-        .map(|config| Probe {
-            hierarchy: config.hierarchy,
-            predictor: config.predictor,
-            dtlb: None,
-            name: bench.clone(),
-        })
+        .map(|config| harness::probe_of(config, bench.clone()))
         .collect();
     let profiles = store.profile_many_corpus(&params, &bank, &corpus)?;
-    let model = FirstOrderModel::new(params);
-    let ests = [
-        model.evaluate(&profiles[0])?,
-        model.evaluate(&profiles[1])?,
-        model.evaluate(&profiles[2])?,
-        model.evaluate(&profiles[3])?,
-        model.evaluate(&profiles[4])?,
-    ];
-    let components = compare_components(
-        [&ests[0], &ests[1], &ests[2], &ests[3], &ests[4]],
-        sims,
-        tol,
-    );
+    let ests = estimates(&FirstOrderModel::new(params), &profiles)?;
+    let components = compare_components(&ests, sims, tol);
 
     Ok(CaseResult {
         bench,
@@ -571,55 +492,20 @@ mod tests {
     }
 
     #[test]
-    fn variants_idealize_exactly_one_source() {
-        let case = CaseSpec {
-            config: MachineConfig::baseline(),
-            bench: BenchmarkSpec::gzip(),
-            trace_len: 1_000,
-            seed: 1,
-        };
-        let ideal = case.ideal_variant();
-        assert!(ideal.predictor.is_ideal());
-        assert!(ideal.hierarchy.l1i.is_none() && ideal.hierarchy.l1d.is_none());
-
-        let bp = case.branch_variant();
-        assert!(!bp.predictor.is_ideal());
-        assert!(bp.hierarchy.l1i.is_none() && bp.hierarchy.l1d.is_none());
-
-        let ic = case.icache_variant();
-        assert!(ic.predictor.is_ideal());
-        assert!(ic.hierarchy.l1i.is_some() && ic.hierarchy.l1d.is_none());
-
-        let dc = case.dcache_variant();
-        assert!(dc.predictor.is_ideal());
-        assert!(dc.hierarchy.l1i.is_none() && dc.hierarchy.l1d.is_some());
-
-        // Structural parameters are preserved in every variant.
-        for v in [&ideal, &bp, &ic, &dc] {
-            assert_eq!(v.width, case.config.width);
-            assert_eq!(v.win_size, case.config.win_size);
-            assert_eq!(v.mem_latency, case.config.mem_latency);
-            v.validate().unwrap();
-        }
-    }
-
-    #[test]
-    fn variants_follow_a_non_baseline_config() {
+    fn case_variants_are_the_simulation_sets() {
         let case = CaseSpec {
             config: MachineConfig::baseline().with_width(8).with_pipe_depth(9),
             bench: BenchmarkSpec::gzip(),
             trace_len: 1_000,
             seed: 1,
         };
-        for v in [
+        let variants = [
             case.ideal_variant(),
             case.branch_variant(),
             case.icache_variant(),
             case.dcache_variant(),
-        ] {
-            assert_eq!(v.width, 8);
-            assert_eq!(v.pipe_depth, 9);
-        }
+        ];
+        assert_eq!(variants[..], simulation_sets(&case.config)[1..]);
     }
 
     #[test]

@@ -1,4 +1,9 @@
-//! Quick old-vs-new IW-kernel timing check (see also `cargo bench`).
+//! Quick IW-kernel timing check: the streaming kernel the profiler runs
+//! (`IwSweep`, through the `iw::ipc_at_window` and `iw::characteristic`
+//! slice wrappers) against the cycle-stepped `iw::reference` oracle,
+//! asserting bit-equal IPC (see also `cargo bench`).
+//!
+//! Run with `cargo run --release --example iw_speed`.
 
 use fosm_depgraph::iw;
 use fosm_isa::LatencyTable;

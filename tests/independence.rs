@@ -2,7 +2,7 @@
 //! near-independently. Adding each independently-measured penalty to
 //! the ideal time reproduces the fully-real run within a small error.
 
-use fosm::sim::{Machine, MachineConfig};
+use fosm::sim::{Machine, MachineConfig, SimulationSet};
 use fosm::trace::VecTrace;
 use fosm::workloads::{BenchmarkSpec, WorkloadGenerator};
 
@@ -18,9 +18,12 @@ fn miss_event_penalties_add_independently() {
 
         let ideal = cycles(MachineConfig::ideal(), &trace);
         let real = cycles(MachineConfig::baseline(), &trace);
-        let bp = cycles(MachineConfig::only_real_branch_predictor(), &trace);
-        let ic = cycles(MachineConfig::only_real_icache(), &trace);
-        let dc = cycles(MachineConfig::only_real_dcache(), &trace);
+        let only = |set| cycles(MachineConfig::baseline().simulation_set(set), &trace);
+        let (bp, ic, dc) = (
+            only(SimulationSet::Branch),
+            only(SimulationSet::ICache),
+            only(SimulationSet::DCache),
+        );
 
         let independent = ideal + (bp - ideal) + (ic - ideal) + (dc - ideal);
         let err = (independent as f64 - real as f64).abs() / real as f64;

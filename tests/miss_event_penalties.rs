@@ -1,7 +1,7 @@
 //! The paper's three summary observations (§7), verified end-to-end
 //! against the detailed simulator on synthetic workloads.
 
-use fosm::sim::{Machine, MachineConfig};
+use fosm::sim::{Machine, MachineConfig, SimulationSet};
 use fosm::trace::VecTrace;
 use fosm::workloads::{BenchmarkSpec, WorkloadGenerator};
 
@@ -21,7 +21,10 @@ fn run(cfg: MachineConfig, trace: &VecTrace) -> fosm::sim::SimReport {
 #[test]
 fn branch_penalty_exceeds_pipeline_depth() {
     let trace = record(&BenchmarkSpec::gzip());
-    let real = run(MachineConfig::only_real_branch_predictor(), &trace);
+    let real = run(
+        MachineConfig::baseline().simulation_set(SimulationSet::Branch),
+        &trace,
+    );
     let ideal = run(MachineConfig::ideal(), &trace);
     let penalty = (real.cycles - ideal.cycles) as f64 / real.mispredicts as f64;
     assert!(real.mispredicts > 100, "need a meaningful sample");
@@ -43,7 +46,9 @@ fn icache_penalty_tracks_miss_delay_not_depth() {
     let mut penalties = Vec::new();
     for depth in [5u32, 9] {
         let real = run(
-            MachineConfig::only_real_icache().with_pipe_depth(depth),
+            MachineConfig::baseline()
+                .simulation_set(SimulationSet::ICache)
+                .with_pipe_depth(depth),
             &trace,
         );
         let ideal = run(MachineConfig::ideal().with_pipe_depth(depth), &trace);
@@ -100,7 +105,7 @@ fn overlapped_long_misses_share_one_penalty() {
     let one = build(&[(100, 0x40_0000_0000)]);
     let two = build(&[(100, 0x40_0000_0000), (140, 0x50_0000_0000)]);
 
-    let cfg = MachineConfig::only_real_dcache();
+    let cfg = MachineConfig::baseline().simulation_set(SimulationSet::DCache);
     let t_none = run(cfg.clone(), &none).cycles as i64;
     let t_one = run(cfg.clone(), &one).cycles as i64;
     let t_two = run(cfg, &two).cycles as i64;
