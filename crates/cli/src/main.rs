@@ -178,6 +178,8 @@ SERVE FLAGS (fosm serve — model-as-a-service daemon):
     --addr A          listen address            (127.0.0.1:0 = any port)
     --workers N       worker-pool threads       (all cores)
     --batch-window MS request-batching window   (2)
+                      only requests that must compute wait for it;
+                      memoized profiles are answered at once
     --port-file P     write the bound address to P
     --no-telemetry    disable per-request histograms + flight recorder
     Set FOSM_CACHE_DIR to persist trace/profile artifacts on disk

@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use fosm_bench::disk::DiskCache;
 use fosm_bench::store::ArtifactStore;
+use fosm_serve::batch::DEFAULT_WINDOW;
 use fosm_serve::proto::{
     ExploreRequest, MachineSpec, ProfileRequest, Request, Response, ValidateRequest,
 };
@@ -46,7 +47,7 @@ pub fn serve(args: Parsed) -> Result<(), String> {
     let workers: usize = args
         .flag_or("workers", fosm_bench::par::available_threads())?
         .max(1);
-    let window_ms: u64 = args.flag_or("batch-window", 2u64)?;
+    let window_ms: u64 = args.flag_or("batch-window", DEFAULT_WINDOW.as_millis() as u64)?;
     let service = Arc::new(Service::new(
         env_store(),
         workers,
@@ -371,9 +372,10 @@ fn render_top(addr: &str, body: &str) -> Result<String, String> {
     }
     if let Some(batch) = v.get("batch") {
         out.push_str(&format!(
-            "batch: {} passes, {} requests coalesced\n",
+            "batch: {} passes, {} requests coalesced, {} memo hits\n",
             json_u64(batch.get("passes")),
             json_u64(batch.get("coalesced")),
+            json_u64(batch.get("memo_hits")),
         ));
     }
     out.push_str(&format!(
@@ -472,7 +474,7 @@ mod tests {
         let body = r#"{"fosm_telemetry":1,"enabled":true,"requests":3,
             "pool":{"workers":4,"executed":7,"steals":2,"parks":9,
                     "caller_runs":1,"queue_depth":0},
-            "batch":{"passes":5,"coalesced":2},
+            "batch":{"passes":5,"coalesced":2,"memo_hits":4},
             "hists":{"serve.total_us.ping":{"count":3,"sum":30,"min":8,
                      "max":12,"p50":15,"p99":15,"buckets":{"4":3}}},
             "flight":{"capacity":256,"dropped":0,"records":[
@@ -489,7 +491,7 @@ mod tests {
             "{table}"
         );
         assert!(
-            table.contains("batch: 5 passes, 2 requests coalesced"),
+            table.contains("batch: 5 passes, 2 requests coalesced, 4 memo hits"),
             "{table}"
         );
         assert!(table.contains("serve.total_us.ping"), "{table}");

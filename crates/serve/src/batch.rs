@@ -10,7 +10,11 @@
 //! time**. Each request alone would pay a full replay; together they
 //! need one.
 //!
-//! [`Batcher`] implements leader–follower coalescing keyed by
+//! Only requests that must compute enter a batch. A request whose
+//! profile the store already holds in memory is answered straight
+//! from it ([`ArtifactStore::memoized_profile`]); it never opens or
+//! joins a batch and waits for no window. The rest go through
+//! [`Batcher`]'s leader–follower coalescing, keyed by
 //! `(trace, model params)`:
 //!
 //! * the first request for a key opens a batch and becomes its
@@ -26,10 +30,12 @@
 //!   common property.
 //!
 //! The batching window trades latency for throughput: a window of
-//! `w` adds at most `w` to an isolated request's latency, but under
-//! concurrent load the fused replay divides the dominant cost by the
-//! batch size. The daemon's default (2 ms) is far below the cost of
-//! even a small replay.
+//! `w` adds at most `w` to an isolated request that must compute, but
+//! under concurrent load the fused replay divides the dominant cost by
+//! the batch size. The daemon's default (2 ms) is far below the cost
+//! of even a small replay. Warm requests pay none of it: a memoized
+//! model evaluation costs tens of microseconds, so waiting out the
+//! window would make it the largest part of their latency.
 //!
 //! For deterministic tests, [`Batcher::with_manual_gate`] replaces the
 //! timed window with an explicit gate: the leader blocks until
@@ -88,6 +94,8 @@ pub struct BatchStats {
     pub passes: u64,
     /// Requests that joined an existing batch (each saved one replay).
     pub coalesced: u64,
+    /// Requests answered from the store's memory without a batch.
+    pub memo_hits: u64,
 }
 
 /// The request coalescer. One per daemon, shared by all workers.
@@ -96,6 +104,7 @@ pub struct Batcher {
     gate: Gate,
     passes: AtomicU64,
     coalesced: AtomicU64,
+    memo_hits: AtomicU64,
 }
 
 impl std::fmt::Debug for Batcher {
@@ -107,12 +116,7 @@ impl std::fmt::Debug for Batcher {
 impl Batcher {
     /// A batcher whose leaders wait out `window` before computing.
     pub fn new(window: Duration) -> Batcher {
-        Batcher {
-            open: Mutex::new(HashMap::new()),
-            gate: Gate::Window(window),
-            passes: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-        }
+        Batcher::with_gate(Gate::Window(window))
     }
 
     /// A batcher whose leaders block until [`release_gate`]
@@ -120,14 +124,19 @@ impl Batcher {
     ///
     /// [`release_gate`]: Batcher::release_gate
     pub fn with_manual_gate() -> Batcher {
+        Batcher::with_gate(Gate::Manual {
+            state: Mutex::new(false),
+            released: Condvar::new(),
+        })
+    }
+
+    fn with_gate(gate: Gate) -> Batcher {
         Batcher {
             open: Mutex::new(HashMap::new()),
-            gate: Gate::Manual {
-                state: Mutex::new(false),
-                released: Condvar::new(),
-            },
+            gate,
             passes: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            memo_hits: AtomicU64::new(0),
         }
     }
 
@@ -165,13 +174,15 @@ impl Batcher {
         BatchStats {
             passes: self.passes.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
+            memo_hits: self.memo_hits.load(Ordering::Relaxed),
         }
     }
 
-    /// The profile of `probe` on `(spec, insts, seed)` under `params`,
-    /// coalesced with any concurrent request for the same trace and
-    /// params. Blocks for at most the batching window plus the fused
-    /// replay (or a memoized lookup, which skips the replay entirely).
+    /// The profile of `probe` on `(spec, insts, seed)` under `params`.
+    /// A profile already in the store's memory is returned at once,
+    /// without a batch. Otherwise the request is coalesced with any
+    /// concurrent request for the same trace and params, and blocks
+    /// for at most the batching window plus the fused replay.
     ///
     /// # Errors
     ///
@@ -186,6 +197,10 @@ impl Batcher {
         insts: u64,
         seed: u64,
     ) -> Result<Arc<ProgramProfile>, String> {
+        if let Some(profile) = store.memoized_profile(params, &probe, spec, insts, seed) {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(profile);
+        }
         let key = batch_key(params, spec, insts, seed);
         loop {
             let (cell, my_index) = {
@@ -397,6 +412,74 @@ mod tests {
         assert_eq!(occupancy.count, 1);
         assert_eq!(occupancy.max, K as u64);
         assert!(registry.counter("serve.batch_wait_ns") > 0);
+    }
+
+    #[test]
+    fn memoized_probes_skip_the_batch_and_new_probes_still_park() {
+        let store = Arc::new(ArtifactStore::new());
+        let batcher = Arc::new(Batcher::with_manual_gate());
+        let params = ProcessorParams::baseline();
+        let spec = BenchmarkSpec::gzip();
+        let warm = variant("warm", 0);
+        store
+            .profile_many(
+                &params,
+                &ProbeBank::from(vec![warm.clone()]),
+                &spec,
+                3_000,
+                7,
+            )
+            .expect("fill");
+
+        // The gate is never released before this returns: only the
+        // memory fast path can answer within the deadline. Not a scoped
+        // thread, so a regression fails the test instead of hanging it.
+        let registry = Arc::new(fosm_obs::Registry::new());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let request = {
+            let (store, batcher, params, spec, registry) = (
+                Arc::clone(&store),
+                Arc::clone(&batcher),
+                params.clone(),
+                spec.clone(),
+                Arc::clone(&registry),
+            );
+            std::thread::spawn(move || {
+                let _scope = fosm_obs::scoped_registry(registry);
+                let _ = tx.send(batcher.profile(&store, &params, warm, &spec, 3_000, 7));
+            })
+        };
+        let profile = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("memoized probe answered without the gate")
+            .expect("profile");
+        request.join().expect("request thread");
+        assert_eq!(profile.name, "warm-0");
+        assert_eq!(
+            batcher.stats(),
+            BatchStats {
+                passes: 0,
+                coalesced: 0,
+                memo_hits: 1
+            }
+        );
+        assert_eq!(registry.counter("serve.batch_wait_ns"), 0);
+        assert_eq!(registry.counter("store.profile.memo_hits"), 1);
+
+        // A new probe on the same warm trace must compute, so it parks
+        // in a batch until the gate opens.
+        std::thread::scope(|s| {
+            let request =
+                s.spawn(|| batcher.profile(&store, &params, variant("cold", 1), &spec, 3_000, 7));
+            while batcher.open_batch_len(&params, &spec, 3_000, 7) < 1 {
+                assert!(!request.is_finished(), "a new probe must park in a batch");
+                std::thread::yield_now();
+            }
+            batcher.release_gate();
+            request.join().expect("request thread").expect("profile");
+        });
+        let stats = batcher.stats();
+        assert_eq!((stats.passes, stats.memo_hits), (1, 1));
     }
 
     #[test]

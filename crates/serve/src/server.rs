@@ -570,6 +570,46 @@ mod tests {
     }
 
     #[test]
+    fn warm_model_request_skips_the_batch_window() {
+        let service = Arc::new(Service::new(
+            Arc::new(ArtifactStore::new()),
+            2,
+            Duration::from_millis(200),
+        ));
+        let server = start(Arc::clone(&service), "127.0.0.1:0").expect("bind test server");
+        let model = Request::Model(ProfileRequest {
+            bench: "gzip".into(),
+            insts: 3_000,
+            seed: 7,
+            machine: MachineSpec::default(),
+            probe: "full".into(),
+        });
+        let mut conn = client::Connection::open(&server.addr().to_string()).expect("connect");
+        let cold = conn.send(&model).expect("cold model");
+        let warm = conn.send(&model).expect("warm model");
+        // The connection serves frames in order, so once the ping is
+        // answered both model records have been pushed.
+        conn.send(&Request::Ping).expect("ping");
+        server.stop_and_join();
+
+        let records: Vec<_> = service
+            .telemetry()
+            .flight()
+            .records()
+            .into_iter()
+            .filter(|r| r.kind == "model")
+            .collect();
+        assert_eq!(records.len(), 2, "{records:?}");
+        assert!(records[0].batch_wait_us >= 200_000, "{records:?}");
+        assert!(!records[0].cache_hit, "{records:?}");
+        assert_eq!(records[1].batch_wait_us, 0, "{records:?}");
+        assert!(records[1].cache_hit, "{records:?}");
+        let local = Service::new(Arc::new(ArtifactStore::new()), 1, Duration::ZERO).execute(&model);
+        assert_eq!(cold, local);
+        assert_eq!(warm, local, "warm wire body equals the in-process body");
+    }
+
+    #[test]
     fn concurrent_clients_all_get_correct_answers() {
         let server = start_test_server();
         let addr = server.addr().to_string();

@@ -356,6 +356,8 @@ impl Service {
         out.push_str(&batch.passes.to_string());
         out.push_str(",\"coalesced\":");
         out.push_str(&batch.coalesced.to_string());
+        out.push_str(",\"memo_hits\":");
+        out.push_str(&batch.memo_hits.to_string());
         out.push_str("},");
         self.telemetry.write_json_sections(&mut out);
         out.push_str("}\n");

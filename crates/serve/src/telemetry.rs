@@ -16,6 +16,8 @@
 //! * `batch_wait_us` — wall-clock the job spent parked inside the
 //!   [`Batcher`](crate::batch::Batcher) (follower waiting for its
 //!   leader's broadcast, or leader waiting out the batching window);
+//!   0 for a request whose profile was already in memory, which never
+//!   enters a batch;
 //! * `exec_us` — job wall-clock minus `batch_wait_us`: time actually
 //!   computing;
 //! * `respond_us` — writing the response frame;
@@ -56,7 +58,8 @@ pub struct RequestRecord {
     pub outcome: String,
     /// Pool queue wait, µs.
     pub queue_us: u64,
-    /// Batcher wait (leader window + follower park), µs.
+    /// Batcher wait (leader window + follower park), µs; 0 when every
+    /// profile the request needed was already in memory.
     pub batch_wait_us: u64,
     /// Compute time (job wall minus batch wait), µs.
     pub exec_us: u64,

@@ -3,7 +3,8 @@
 # profile/model requests with byte-identity verification against
 # in-process execution, spot-check wire vs one-shot CLI bytes, assert
 # the telemetry snapshot (`fosm top --once --json`) is populated under
-# load, then shut down cleanly — the daemon must join every thread and
+# load and counts memory hits that skipped the batcher, then shut down
+# cleanly — the daemon must join every thread and
 # exit 0.
 #
 # Usage: scripts/serve-smoke.sh
@@ -68,6 +69,13 @@ for needle in '"fosm_telemetry":1' \
     exit 1
   }
 done
+# Repeated requests (loadgen's 32 requests cycle through five gzip
+# probes) must be answered from memory without entering a batch.
+grep -qE '"memo_hits":[1-9]' "$WORK/telemetry.json" || {
+  echo "telemetry snapshot shows no memo hits" >&2
+  cat "$WORK/telemetry.json" >&2
+  exit 1
+}
 echo "--- fosm top (one frame) ---"
 "$FOSM" top --addr "$ADDR" --once
 echo "telemetry snapshot saved to $SNAPSHOT"
