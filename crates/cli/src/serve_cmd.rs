@@ -295,9 +295,9 @@ pub fn loadgen(args: Parsed) -> Result<(), String> {
     }
 
     if let Some(path) = args.flag("out") {
-        let rows: Vec<(&str, f64, Option<u64>)> = entries
+        let rows: Vec<(&str, criterion::Estimate, Option<u64>)> = entries
             .iter()
-            .map(|(id, ns)| (id.as_str(), *ns, None))
+            .map(|(id, ns)| (id.as_str(), criterion::Estimate::point(*ns), None))
             .collect();
         std::fs::write(path, criterion::baseline_json("serve", &rows))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -307,7 +307,11 @@ pub fn loadgen(args: Parsed) -> Result<(), String> {
     if let Some(baseline) = args.flag("baseline") {
         let body = std::fs::read_to_string(baseline)
             .map_err(|e| format!("cannot read baseline {baseline}: {e}"))?;
-        let lines = criterion::check_report(&entries, &body);
+        let measured: Vec<(String, criterion::Estimate)> = entries
+            .iter()
+            .map(|(id, ns)| (id.clone(), criterion::Estimate::point(*ns)))
+            .collect();
+        let lines = criterion::check_report(&measured, &body);
         let mut regressed = false;
         for line in &lines {
             regressed |= line.starts_with("REGRESSION");

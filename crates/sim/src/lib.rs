@@ -39,6 +39,8 @@
 
 mod config;
 mod machine;
+#[cfg(test)]
+mod oracle;
 mod report;
 
 pub use config::{ClusterConfig, FetchBufferConfig, MachineConfig, SimulationSet, Steering};

@@ -13,36 +13,148 @@ use crate::{MachineConfig, SimReport};
 /// Marks "no producer" in a dependence slot.
 const NO_PRODUCER: u64 = u64::MAX;
 
-/// An instruction in the front-end pipeline.
+/// An instruction in the front-end pipeline. Its sequence number is
+/// implicit: the pipe dispatches in order.
 #[derive(Debug, Clone, Copy)]
 struct PipeEntry {
     ready: u64,
     inst: Inst,
-    seq: u64,
     mispredicted: bool,
 }
 
-/// An instruction waiting in the issue window.
+/// Marks the end of a wake-up list.
+const NO_WAITER: u64 = u64::MAX;
+
+/// A dispatched instruction, in its reorder-buffer slot.
 #[derive(Debug, Clone, Copy)]
-struct WinEntry {
-    seq: u64,
-    producers: [u64; 2],
+struct Slot {
+    /// Completion cycle; `u64::MAX` until the instruction issues.
+    done: u64,
+    /// Latest arrival among the operands whose producers have issued:
+    /// once `pending` is 0, the first cycle the instruction can issue.
+    ready_at: u64,
+    /// Producers that have not issued yet.
+    pending: u8,
+    /// Operands waiting for this instruction's result, as a list of
+    /// `consumer * 2 + operand` links through the consumers'
+    /// `next_waiter`, ending in `NO_WAITER`.
+    waiters: u64,
+    next_waiter: [u64; 2],
+    /// Extra cycles before each producer's result reaches this
+    /// instruction's cluster (the forwarding delay when they differ).
+    forward: [u32; 2],
     comp_latency: u32,
     fu_class: FuClass,
     cluster: u8,
     mispredicted: bool,
     long_miss_load: bool,
-    issued: bool,
-    /// Cycle the instruction entered the front-end pipe; anchors the
-    /// cycle extent of a traced mispredict (fetch stops here).
-    fetch_cycle: u64,
 }
 
-/// An instruction in the reorder buffer.
-#[derive(Debug, Clone, Copy)]
-struct RobEntry {
-    issued: bool,
-    done: u64,
+impl Slot {
+    /// A slot before dispatch fills in the instruction.
+    const EMPTY: Slot = Slot {
+        done: u64::MAX,
+        ready_at: 0,
+        pending: 0,
+        waiters: NO_WAITER,
+        next_waiter: [NO_WAITER; 2],
+        forward: [0; 2],
+        comp_latency: 0,
+        fu_class: FuClass::IntAlu,
+        cluster: 0,
+        mispredicted: false,
+        long_miss_load: false,
+    };
+}
+
+/// The reorder buffer: the in-flight instructions `[front, dispatched)`
+/// in slots indexed by sequence number modulo a power-of-two length.
+/// The issue window lists the sequence numbers of its unissued
+/// instructions, so issuing moves no slot, and an issuing producer
+/// wakes its waiting operands, so no readiness is ever recomputed.
+///
+/// A slot outlives its instruction's retirement until `seq + len`
+/// dispatches into it, which is late enough that a consumer finding
+/// its producer's slot reused can count that operand as ready, even
+/// across clusters. Let producer `p` retire at cycle `r` (so its
+/// `done <= r`). When that cycle's dispatch ends, the ROB holds only
+/// sequence numbers above `p` and at most `rob_size` of them, and each
+/// later cycle dispatches at most `width` more. With
+/// `len >= rob_size + width * (forward_delay + 1)`, `p + len` therefore
+/// dispatches no earlier than cycle `r + forward_delay + 1`. A consumer
+/// dispatched then or later issues a cycle after that at the soonest,
+/// when `done + forward_delay` has passed.
+struct Rob {
+    slots: Vec<Slot>,
+    mask: u64,
+}
+
+impl Rob {
+    fn new(rob_size: u64, width: u64, forward_delay: u64) -> Self {
+        let len = (rob_size + width * (forward_delay + 1)).next_power_of_two();
+        Rob {
+            slots: vec![Slot::EMPTY; len as usize],
+            mask: len - 1,
+        }
+    }
+
+    fn slot(&self, seq: u64) -> &Slot {
+        &self.slots[(seq & self.mask) as usize]
+    }
+
+    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        &mut self.slots[(seq & self.mask) as usize]
+    }
+
+    /// First cycle instruction `seq` can issue (`u64::MAX` while a
+    /// producer has not issued).
+    fn ready_at(&self, seq: u64) -> u64 {
+        let s = self.slot(seq);
+        if s.pending > 0 {
+            u64::MAX
+        } else {
+            s.ready_at
+        }
+    }
+
+    /// Puts instruction `seq`, the next to dispatch, into its slot and
+    /// hooks each operand onto its producer: an issued producer's
+    /// result time counts at once, an unissued one's when it issues. A
+    /// producer whose slot was reused (see above) counts as ready.
+    fn dispatch(&mut self, seq: u64, producers: [u64; 2], slot: Slot) {
+        *self.slot_mut(seq) = slot;
+        for (k, p) in producers.into_iter().enumerate() {
+            // `p + len <= seq`: instruction `p + len` took the slot.
+            if p == NO_PRODUCER || p + self.mask < seq {
+                continue;
+            }
+            let done = self.slot(p).done;
+            if done == u64::MAX {
+                let head = std::mem::replace(&mut self.slot_mut(p).waiters, seq * 2 + k as u64);
+                let s = self.slot_mut(seq);
+                s.next_waiter[k] = head;
+                s.pending += 1;
+            } else {
+                let s = self.slot_mut(seq);
+                s.ready_at = s.ready_at.max(done + s.forward[k] as u64);
+            }
+        }
+    }
+
+    /// Issues instruction `seq`, completing at `done`, and wakes the
+    /// operands waiting for it.
+    fn issue(&mut self, seq: u64, done: u64) {
+        let s = self.slot_mut(seq);
+        s.done = done;
+        let mut waiter = std::mem::replace(&mut s.waiters, NO_WAITER);
+        while waiter != NO_WAITER {
+            let k = (waiter % 2) as usize;
+            let s = self.slot_mut(waiter / 2);
+            s.ready_at = s.ready_at.max(done + s.forward[k] as u64);
+            s.pending -= 1;
+            waiter = s.next_waiter[k];
+        }
+    }
 }
 
 /// Records an I-fetch miss event plus the interval boundary it
@@ -101,6 +213,10 @@ pub struct Machine {
     predictor: Box<dyn Predictor>,
     hierarchy: Hierarchy,
     dtlb: Option<Tlb>,
+    /// Whether a cycle in which nothing happens jumps straight to the
+    /// next event. Always on; this crate's tests turn it off to get the
+    /// one-cycle-at-a-time oracle from the same loop.
+    pub(crate) skip_dead_cycles: bool,
 }
 
 impl std::fmt::Debug for Machine {
@@ -140,6 +256,7 @@ impl Machine {
             hierarchy,
             dtlb,
             config,
+            skip_dead_cycles: true,
         })
     }
 
@@ -207,86 +324,80 @@ impl Machine {
         let mut trace_done = false;
         let mut next_seq: u64 = 0;
 
-        // Back end.
-        let mut window: Vec<WinEntry> = Vec::with_capacity(cfg.win_size as usize);
-        let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(cfg.rob_size as usize);
+        // Back end: the ROB holds `[rob_front_seq, dispatched)`, and
+        // the window the unissued ones among them, oldest first.
+        let mut window: Vec<u64> = Vec::with_capacity(cfg.win_size as usize);
         let mut rob_front_seq: u64 = 0;
+        let mut dispatched: u64 = 0;
+        let rob_size = cfg.rob_size as u64;
+        // Fetch cycle of the one mispredicted branch that can be in
+        // flight (fetch stops behind it): anchors its traced extent.
+        let mut branch_fetch_cycle: u64 = 0;
         let mut last_writer = [NO_PRODUCER; NUM_REGS];
-        let mut done_by_seq: Vec<u64> = Vec::new();
-        // Clustered-window state: which cluster each dispatched
-        // instruction went to, and per-cluster occupancy.
+        // Clustered-window state: the cluster of each register's last
+        // writer, and per-cluster occupancy and issue counts.
         let num_clusters = cfg.clusters.map_or(1, |c| c.clusters as usize);
-        let forward_delay = cfg.clusters.map_or(0, |c| c.forward_delay as u64);
+        let forward_delay = cfg.clusters.map_or(0, |c| c.forward_delay);
         let cluster_win_cap = cfg.win_size as usize / num_clusters;
         let cluster_width = width / num_clusters;
-        let mut cluster_by_seq: Vec<u8> = Vec::new();
+        let mut last_writer_cluster = [0u8; NUM_REGS];
         let mut cluster_occupancy = vec![0usize; num_clusters];
+        let mut cluster_issued = vec![0usize; num_clusters];
         let mut steer_cursor = 0usize;
+        let mut rob = Rob::new(rob_size, width as u64, forward_delay as u64);
 
         let mut cycle: u64 = 0;
+        let skip_dead_cycles = self.skip_dead_cycles;
+        let mut cycles_skipped: u64 = 0;
         // Cycle the last traced interval closed at (monotonic; a miss
         // event whose onset precedes it clamps forward).
         let mut last_boundary_cycle: u64 = 0;
         loop {
             // ---- retire (in order, up to `width`) ----
             let mut retired = 0;
-            while retired < width {
-                match rob.front() {
-                    Some(e) if e.issued && e.done <= cycle => {
-                        rob.pop_front();
-                        rob_front_seq += 1;
-                        report.instructions += 1;
-                        retired += 1;
-                    }
-                    _ => break,
-                }
+            while retired < width
+                && rob_front_seq < dispatched
+                && rob.slot(rob_front_seq).done <= cycle
+            {
+                rob_front_seq += 1;
+                report.instructions += 1;
+                retired += 1;
             }
 
             // ---- issue (oldest-first ready-first, up to `width`,
             //      bounded per functional-unit class if configured) ----
+            // Issued entries leave the window in the same pass: of the
+            // `i` entries visited, `kept` stay, in order.
             let mut issued = 0;
+            let mut kept = 0;
+            let mut i = 0;
             let mut fu_used = [0u32; FuClass::ALL.len()];
-            let mut cluster_issued = vec![0usize; num_clusters];
-            for i in 0..window.len() {
-                if issued >= width {
-                    break;
-                }
-                let e = window[i];
-                debug_assert!(!e.issued);
-                if num_clusters > 1 && cluster_issued[e.cluster as usize] >= cluster_width {
-                    continue; // this cluster's issue ports are busy
-                }
-                if let Some(pool) = &cfg.fu {
-                    if fu_used[e.fu_class.index()] >= pool.count(e.fu_class) {
-                        continue; // all units of this class busy this cycle
-                    }
-                }
-                let ready = e.producers.iter().all(|&p| {
-                    p == NO_PRODUCER
-                        || done_by_seq.get(p as usize).is_some_and(|&d| {
-                            // Cross-cluster results arrive late.
-                            let extra =
-                                if num_clusters > 1 && cluster_by_seq[p as usize] != e.cluster {
-                                    forward_delay
-                                } else {
-                                    0
-                                };
-                            d.saturating_add(extra) <= cycle
-                        })
-                });
-                if !ready {
+            cluster_issued.fill(0);
+            while issued < width && i < window.len() {
+                let seq = window[i];
+                i += 1;
+                let can_issue = rob.ready_at(seq) <= cycle && {
+                    let e = rob.slot(seq);
+                    // this cluster's issue ports may be busy
+                    (num_clusters == 1 || cluster_issued[e.cluster as usize] < cluster_width)
+                        // all units of this class may be busy this cycle
+                        && cfg
+                            .fu
+                            .is_none_or(|pool| fu_used[e.fu_class.index()] < pool.count(e.fu_class))
+                };
+                if !can_issue {
+                    window[kept] = seq;
+                    kept += 1;
                     continue;
                 }
+                let e = *rob.slot(seq);
+                let finish = cycle + e.comp_latency as u64;
+                rob.issue(seq, finish);
                 fu_used[e.fu_class.index()] += 1;
                 cluster_issued[e.cluster as usize] += 1;
                 cluster_occupancy[e.cluster as usize] -= 1;
-                let done = cycle + e.comp_latency as u64;
-                window[i].issued = true;
                 issued += 1;
-                done_by_seq[e.seq as usize] = done;
-                let rob_idx = (e.seq - rob_front_seq) as usize;
-                rob[rob_idx].issued = true;
-                rob[rob_idx].done = done;
+                let rob_idx = seq - rob_front_seq;
 
                 if e.mispredicted {
                     // Branch resolution: flush is implicit (wrong-path
@@ -295,15 +406,16 @@ impl Machine {
                     // completes.
                     debug_assert!(blocked_on_branch);
                     blocked_on_branch = false;
-                    fetch_stall_until = fetch_stall_until.max(done);
-                    let remaining = window.iter().filter(|w| !w.issued).count() as u64;
+                    fetch_stall_until = fetch_stall_until.max(finish);
+                    // Unissued: those kept so far and all after this one.
+                    let remaining = (kept + window.len() - i) as u64;
                     report.window_insts_at_mispredict_sum += remaining;
                     report.window_insts_at_mispredict_count += 1;
                     if let Some(buf) = events.as_deref_mut() {
                         // Fetch stopped when the branch entered the
                         // pipe; useful instructions reach the window
                         // again a pipe refill after it resolves.
-                        let onset = e.fetch_cycle.max(last_boundary_cycle);
+                        let onset = branch_fetch_cycle.max(last_boundary_cycle);
                         buf.push(TraceEvent::new(
                             EventKind::IntervalBoundary,
                             report.instructions,
@@ -314,15 +426,15 @@ impl Machine {
                         last_boundary_cycle = onset;
                         buf.push(TraceEvent::new(
                             EventKind::BranchMispredict,
-                            e.seq,
-                            e.fetch_cycle,
-                            done + cfg.pipe_depth as u64,
+                            seq,
+                            branch_fetch_cycle,
+                            finish + cfg.pipe_depth as u64,
                             0,
                         ));
                     }
                 }
                 if e.long_miss_load {
-                    report.rob_ahead_of_long_miss_sum += rob_idx as u64;
+                    report.rob_ahead_of_long_miss_sum += rob_idx;
                     report.rob_ahead_of_long_miss_count += 1;
                     if let Some(buf) = events.as_deref_mut() {
                         let onset = cycle.max(last_boundary_cycle);
@@ -336,22 +448,20 @@ impl Machine {
                         last_boundary_cycle = onset;
                         buf.push(TraceEvent::new(
                             EventKind::LongDCacheMiss,
-                            e.seq,
+                            seq,
                             cycle,
-                            done,
+                            finish,
                             cfg.mem_latency as u64,
                         ));
                     }
                 }
             }
-            if issued > 0 {
-                window.retain(|e| !e.issued);
-            }
+            window.drain(kept..i);
 
             // ---- dispatch (in order, up to `width`) ----
-            let mut dispatched = 0;
-            while dispatched < width
-                && rob.len() < cfg.rob_size as usize
+            let mut dispatched_now = 0;
+            while dispatched_now < width
+                && dispatched - rob_front_seq < rob_size
                 && window.len() < cfg.win_size as usize
             {
                 let Some(front) = pipe.front() else { break };
@@ -361,23 +471,21 @@ impl Machine {
                 // Clustered dispatch: pick a target cluster before
                 // committing to dispatch (in-order dispatch stalls if
                 // the chosen cluster is full under round-robin).
-                let peek_producers = {
-                    let mut producers = [NO_PRODUCER; 2];
-                    for (slot, src) in front.inst.sources().enumerate() {
-                        producers[slot] = last_writer[src.index()];
-                    }
-                    producers
-                };
+                let mut producers = [NO_PRODUCER; 2];
+                let mut producer_clusters = [0u8; 2];
+                for (slot, src) in front.inst.sources().enumerate() {
+                    producers[slot] = last_writer[src.index()];
+                    producer_clusters[slot] = last_writer_cluster[src.index()];
+                }
                 let cluster: u8 = if num_clusters > 1 {
                     use crate::config::Steering;
                     let steering = cfg.clusters.expect("checked").steering;
                     let pick = match steering {
                         Steering::RoundRobin => steer_cursor % num_clusters,
                         Steering::Dependence => {
-                            let preferred = peek_producers
-                                .iter()
-                                .filter(|&&p| p != NO_PRODUCER)
-                                .map(|&p| cluster_by_seq[p as usize] as usize)
+                            let preferred = (0..2)
+                                .filter(|&k| producers[k] != NO_PRODUCER)
+                                .map(|k| producer_clusters[k] as usize)
                                 .find(|&c| cluster_occupancy[c] < cluster_win_cap);
                             preferred.unwrap_or_else(|| {
                                 // Least-loaded cluster.
@@ -397,7 +505,7 @@ impl Machine {
                 };
                 let pe = pipe.pop_front().expect("checked non-empty");
                 let inst = pe.inst;
-                let producers = peek_producers;
+                let seq = dispatched;
 
                 let mut long_miss_load = false;
                 let comp_latency = match inst.op {
@@ -440,35 +548,37 @@ impl Machine {
                 };
 
                 if let Some(d) = inst.dest {
-                    last_writer[d.index()] = pe.seq;
+                    last_writer[d.index()] = seq;
+                    last_writer_cluster[d.index()] = cluster;
                 }
-                if done_by_seq.len() <= pe.seq as usize {
-                    done_by_seq.resize(pe.seq as usize + 1, u64::MAX);
+                if pe.mispredicted {
+                    branch_fetch_cycle = pe.ready.saturating_sub(cfg.pipe_depth as u64);
                 }
-                rob.push_back(RobEntry {
-                    issued: false,
-                    done: u64::MAX,
-                });
-                if cluster_by_seq.len() <= pe.seq as usize {
-                    cluster_by_seq.resize(pe.seq as usize + 1, 0);
-                }
-                cluster_by_seq[pe.seq as usize] = cluster;
                 cluster_occupancy[cluster as usize] += 1;
-                window.push(WinEntry {
-                    seq: pe.seq,
-                    producers,
+                let slot = Slot {
+                    // Cross-cluster results arrive late.
+                    forward: producer_clusters.map(|c| {
+                        if num_clusters > 1 && c != cluster {
+                            forward_delay
+                        } else {
+                            0
+                        }
+                    }),
                     comp_latency,
                     fu_class: inst.op.fu_class(),
                     cluster,
                     mispredicted: pe.mispredicted,
                     long_miss_load,
-                    issued: false,
-                    fetch_cycle: pe.ready.saturating_sub(cfg.pipe_depth as u64),
-                });
+                    ..Slot::EMPTY
+                };
+                rob.dispatch(seq, producers, slot);
+                window.push(seq);
                 dispatched += 1;
+                dispatched_now += 1;
             }
 
             // ---- fetch ----
+            let fetch_state = (next_seq, trace_done, fetch_stall_until, prefetch.len());
             // With a fetch buffer: first feed the pipe from the buffer
             // (up to `width`), then prefetch into the buffer (up to its
             // bandwidth) — so buffered instructions keep the pipeline
@@ -481,12 +591,10 @@ impl Machine {
                     let Some((inst, mispredicted)) = prefetch.pop_front() else {
                         break;
                     };
-                    let seq = next_seq;
                     next_seq += 1;
                     pipe.push_back(PipeEntry {
                         ready: cycle + cfg.pipe_depth as u64,
                         inst,
-                        seq,
                         mispredicted,
                     });
                     fed += 1;
@@ -608,7 +716,6 @@ impl Machine {
                             }
                         }
                     };
-                    let seq = next_seq;
                     next_seq += 1;
                     let mut mispredicted = false;
                     if inst.op.is_cond_branch() {
@@ -623,7 +730,6 @@ impl Machine {
                     pipe.push_back(PipeEntry {
                         ready: cycle + cfg.pipe_depth as u64,
                         inst,
-                        seq,
                         mispredicted,
                     });
                     fetched += 1;
@@ -636,17 +742,58 @@ impl Machine {
                 }
             }
 
+            let rob_len = dispatched - rob_front_seq;
             report.window_occupancy_sum += window.len() as u64;
-            report.rob_occupancy_sum += rob.len() as u64;
+            report.rob_occupancy_sum += rob_len;
             cycle += 1;
 
             if trace_done
                 && pipe.is_empty()
-                && rob.is_empty()
+                && rob_len == 0
                 && prefetch.is_empty()
                 && pending_inst.is_none()
             {
                 break;
+            }
+
+            // ---- skip dead cycles ----
+            // A cycle that retired, issued, dispatched and fetched
+            // nothing left the state as it found it, so every cycle
+            // before the next event would do nothing as well: jump to
+            // that event, charging the skipped cycles their occupancy.
+            // An event is a cycle at which one of the time comparisons
+            // above flips: the ROB head completes, a window entry's
+            // operands arrive, the pipe front reaches dispatch, or a
+            // fetch stall ends. A pipe front that is already ready but
+            // blocked by a full ROB, window or cluster is no event; only
+            // a retire or an issue can unblock it.
+            let idle = retired == 0
+                && issued == 0
+                && dispatched_now == 0
+                && fetch_state == (next_seq, trace_done, fetch_stall_until, prefetch.len());
+            if idle && skip_dead_cycles {
+                let now = cycle - 1;
+                let mut next = if rob_len > 0 {
+                    rob.slot(rob_front_seq).done
+                } else {
+                    u64::MAX
+                };
+                for &seq in &window {
+                    next = next.min(rob.ready_at(seq));
+                }
+                if let Some(front) = pipe.front().filter(|f| f.ready > now) {
+                    next = next.min(front.ready);
+                }
+                if fetch_stall_until > now {
+                    next = next.min(fetch_stall_until);
+                }
+                if next != u64::MAX && next > cycle {
+                    let skipped = next - cycle;
+                    report.window_occupancy_sum += window.len() as u64 * skipped;
+                    report.rob_occupancy_sum += rob_len * skipped;
+                    cycles_skipped += skipped;
+                    cycle = next;
+                }
             }
         }
 
@@ -663,6 +810,7 @@ impl Machine {
             ));
         }
         report.observe_into(fosm_obs::global(), "sim");
+        fosm_obs::global().counter_add("sim.cycles_skipped", cycles_skipped);
         report
     }
 }
@@ -848,6 +996,50 @@ mod tests {
             "rob occ {}",
             r.mean_rob_occupancy()
         );
+    }
+
+    #[test]
+    fn retired_producer_still_pays_the_forwarding_delay() {
+        // A long miss heads a full 128-entry ROB. When it retires, the
+        // two instructions dispatched in its place include seq 129, on
+        // the other cluster (round robin), which reads the miss's
+        // result: it must still wait out the 3-cycle forwarding delay,
+        // although the miss has left the ROB. A ring of only `rob_size`
+        // slots would have reused the miss's slot by then.
+        let forward_delay = 3;
+        let mut cfg = MachineConfig::ideal().with_clusters(crate::ClusterConfig {
+            clusters: 2,
+            forward_delay,
+            steering: crate::Steering::RoundRobin,
+        });
+        cfg.width = 2;
+        cfg.win_size = 64;
+        cfg.rob_size = 128;
+        cfg.hierarchy = HierarchyConfig {
+            l1i: None,
+            l1d: Some(CacheConfig::new(128, 2, 64, Replacement::Lru).unwrap()),
+            l2: Some(CacheConfig::new(256, 2, 64, Replacement::Lru).unwrap()),
+            next_line_prefetch: 0,
+        };
+        let run = |dependent: bool| {
+            let mut insts = vec![Inst::load(0, Reg::new(40), None, 0x9000)];
+            insts.extend(
+                (1..=128)
+                    .map(|i| Inst::alu(i * 4, Op::IntAlu, Reg::new((i % 32) as u8), None, None)),
+            );
+            let source = dependent.then(|| Reg::new(40));
+            insts.push(Inst::alu(129 * 4, Op::IntAlu, Reg::new(41), source, None));
+            insts.extend(
+                (130..330)
+                    .map(|i| Inst::alu(i * 4, Op::IntAlu, Reg::new(41), Some(Reg::new(41)), None)),
+            );
+            Machine::new(cfg.clone()).run(&mut VecTrace::new(insts))
+        };
+        let (with, without) = (run(true), run(false));
+        assert_eq!(with.dcache_long_misses, 1);
+        // Without the dependence seq 129 issues the cycle after it
+        // dispatches; with it, `forward_delay` cycles after.
+        assert_eq!(with.cycles, without.cycles + forward_delay as u64 - 1);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Implements the benchmarking surface this workspace uses —
 //! `benchmark_group`, `bench_function`, `bench_with_input`,
 //! `Throughput`, `BenchmarkId`, `criterion_group!`/`criterion_main!` —
-//! with simple wall-clock measurement (median of N samples, each an
-//! adaptively sized batch of iterations).
+//! with simple wall-clock measurement: at least [`MIN_SAMPLES`]
+//! samples, each an adaptively sized batch of iterations, summarized as
+//! their minimum, median and median absolute deviation (MAD).
 //!
 //! Behavior matches criterion's cargo integration: a full measurement
 //! pass runs only under `cargo bench` (cargo passes `--bench`);
@@ -19,8 +20,10 @@
 //! Passing `--check <baseline.json>` after `--` turns the run into a
 //! regression gate: results are measured as usual but compared against
 //! the named baseline instead of overwriting it, and the process exits
-//! non-zero if any benchmark is more than [`REGRESSION_LIMIT_PCT`]
-//! slower than its baseline entry.
+//! non-zero if any benchmark's median is more than
+//! [`REGRESSION_LIMIT_PCT`] slower than its baseline entry and the
+//! slowdown also lies outside the noise band of the two measurements
+//! ([`NOISE_MADS`] times their summed MADs).
 
 #![forbid(unsafe_code)]
 
@@ -72,12 +75,64 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// The fewest timing samples a measurement takes, whatever the
+/// configured sample size.
+pub const MIN_SAMPLES: usize = 10;
+
+/// One benchmark's timing samples, summarized in nanoseconds per
+/// iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Estimate {
+    /// Median sample.
+    pub median: f64,
+    /// Fastest sample.
+    pub min: f64,
+    /// Median absolute deviation of the samples from the median.
+    pub mad: f64,
+    /// Number of samples (1 for a single measurement).
+    pub samples: usize,
+}
+
+impl Estimate {
+    /// Summarizes `samples` (nanoseconds per iteration; reordered).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn from_samples(samples: &mut [f64]) -> Estimate {
+        assert!(!samples.is_empty(), "an estimate needs samples");
+        let median_of = |v: &mut [f64]| {
+            v.sort_by(|a, b| a.total_cmp(b));
+            v[v.len() / 2]
+        };
+        let median = median_of(samples);
+        let min = samples[0];
+        let mut deviations: Vec<f64> = samples.iter().map(|s| (s - median).abs()).collect();
+        Estimate {
+            median,
+            min,
+            mad: median_of(&mut deviations),
+            samples: samples.len(),
+        }
+    }
+
+    /// A single measurement, with no spread recorded.
+    pub fn point(ns: f64) -> Estimate {
+        Estimate {
+            median: ns,
+            min: ns,
+            mad: 0.0,
+            samples: 1,
+        }
+    }
+}
+
 /// The measurement engine handed to benchmark closures.
 pub struct Bencher<'a> {
     mode: Mode,
     sample_size: usize,
-    /// Measured median nanoseconds per iteration, filled by `iter`.
-    result_ns: &'a mut f64,
+    /// The measurement, filled by `iter`.
+    result: &'a mut Estimate,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +144,11 @@ enum Mode {
 }
 
 impl Bencher<'_> {
-    /// Runs `f` repeatedly and records its median time per iteration.
+    /// Runs `f` repeatedly and records its time per iteration.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         if self.mode == Mode::Smoke {
             black_box(f());
-            *self.result_ns = 0.0;
+            *self.result = Estimate::point(0.0);
             return;
         }
         // Warm up and size the batch so one sample spans >= ~5ms.
@@ -113,7 +168,7 @@ impl Bencher<'_> {
                 .clamp(2, 1000);
             batch = batch.saturating_mul(scale);
         }
-        let mut samples: Vec<f64> = (0..self.sample_size.max(3))
+        let mut samples: Vec<f64> = (0..self.sample_size.max(MIN_SAMPLES))
             .map(|_| {
                 let start = Instant::now();
                 for _ in 0..batch {
@@ -122,8 +177,7 @@ impl Bencher<'_> {
                 start.elapsed().as_nanos() as f64 / batch as f64
             })
             .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        *self.result_ns = samples[samples.len() / 2];
+        *self.result = Estimate::from_samples(&mut samples);
     }
 }
 
@@ -131,7 +185,7 @@ impl Bencher<'_> {
 #[derive(Debug, Clone)]
 struct Record {
     id: String,
-    ns_per_iter: f64,
+    estimate: Estimate,
     /// Elements or bytes per iteration, from the group's throughput.
     per_iter: Option<u64>,
 }
@@ -169,14 +223,14 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into().id;
-        let mut ns = f64::NAN;
+        let mut estimate = Estimate::point(f64::NAN);
         let mut bencher = Bencher {
             mode: self.criterion.mode,
             sample_size: self.criterion.sample_size,
-            result_ns: &mut ns,
+            result: &mut estimate,
         };
         f(&mut bencher);
-        self.finish_one(id, ns);
+        self.finish_one(id, estimate);
         self
     }
 
@@ -191,19 +245,20 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let id = id.into().id;
-        let mut ns = f64::NAN;
+        let mut estimate = Estimate::point(f64::NAN);
         let mut bencher = Bencher {
             mode: self.criterion.mode,
             sample_size: self.criterion.sample_size,
-            result_ns: &mut ns,
+            result: &mut estimate,
         };
         f(&mut bencher, input);
-        self.finish_one(id, ns);
+        self.finish_one(id, estimate);
         self
     }
 
-    fn finish_one(&mut self, id: String, ns: f64) {
+    fn finish_one(&mut self, id: String, estimate: Estimate) {
         let full = format!("{}/{}", self.name, id);
+        let ns = estimate.median;
         if self.criterion.mode == Mode::Measure {
             let rate = match self.throughput {
                 Some(Throughput::Elements(n)) => {
@@ -214,13 +269,18 @@ impl BenchmarkGroup<'_> {
                 }
                 None => String::new(),
             };
-            println!("{full:<48} time: {:>12}/iter{rate}", format_ns(ns));
+            println!(
+                "{full:<48} time: {:>12}/iter (min {}, mad {}){rate}",
+                format_ns(ns),
+                format_ns(estimate.min),
+                format_ns(estimate.mad)
+            );
         } else {
             println!("{full}: ok (smoke)");
         }
         self.records.push(Record {
             id,
-            ns_per_iter: ns,
+            estimate,
             per_iter: match self.throughput {
                 Some(Throughput::Elements(n)) | Some(Throughput::Bytes(n)) => Some(n),
                 None => None,
@@ -243,10 +303,10 @@ impl BenchmarkGroup<'_> {
                     return;
                 }
             };
-            let measured: Vec<(String, f64)> = self
+            let measured: Vec<(String, Estimate)> = self
                 .records
                 .iter()
-                .map(|r| (r.id.clone(), r.ns_per_iter))
+                .map(|r| (r.id.clone(), r.estimate))
                 .collect();
             let mut ok = true;
             for line in check_report(&measured, &body) {
@@ -257,7 +317,7 @@ impl BenchmarkGroup<'_> {
             }
             if ok {
                 println!(
-                    "{}: check passed (within {REGRESSION_LIMIT_PCT:.0}% of {})",
+                    "{}: check passed (within {REGRESSION_LIMIT_PCT:.0}% or the noise band of {})",
                     self.name,
                     baseline.display()
                 );
@@ -268,10 +328,10 @@ impl BenchmarkGroup<'_> {
         }
         let dir = std::env::var("FOSM_BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
         let path = std::path::Path::new(&dir).join(format!("BENCH_{}.json", self.name));
-        let entries: Vec<(&str, f64, Option<u64>)> = self
+        let entries: Vec<(&str, Estimate, Option<u64>)> = self
             .records
             .iter()
-            .map(|r| (r.id.as_str(), r.ns_per_iter, r.per_iter))
+            .map(|r| (r.id.as_str(), r.estimate, r.per_iter))
             .collect();
         let body = baseline_json(&self.name, &entries);
         if let Err(e) = std::fs::write(&path, body) {
@@ -282,18 +342,28 @@ impl BenchmarkGroup<'_> {
     }
 }
 
-/// Renders a `BENCH_<group>.json` baseline body from `(id,
-/// ns_per_iter, per_iter)` entries: one benchmark per line, so
-/// [`parse_baseline`] reads it back exactly.
-pub fn baseline_json(group: &str, entries: &[(&str, f64, Option<u64>)]) -> String {
+/// Renders a `BENCH_<group>.json` baseline body from `(id, estimate,
+/// per_iter)` entries: one benchmark per line, so [`parse_baseline`]
+/// reads it back exactly. `ns_per_iter` is the median; an estimate of
+/// several samples also records `min_ns`, `mad_ns` and `samples`.
+pub fn baseline_json(group: &str, entries: &[(&str, Estimate, Option<u64>)]) -> String {
     let mut body = String::from("{\n");
     body.push_str(&format!("  \"group\": \"{group}\",\n"));
     body.push_str("  \"benchmarks\": {\n");
-    for (i, (id, ns, per_iter)) in entries.iter().enumerate() {
+    for (i, (id, est, per_iter)) in entries.iter().enumerate() {
         let sep = if i + 1 == entries.len() { "" } else { "," };
+        let spread = if est.samples > 1 {
+            format!(
+                ", \"min_ns\": {:.1}, \"mad_ns\": {:.1}, \"samples\": {}",
+                est.min, est.mad, est.samples
+            )
+        } else {
+            String::new()
+        };
         let thrpt = per_iter.map_or(String::new(), |n| format!(", \"per_iter\": {n}"));
         body.push_str(&format!(
-            "    \"{id}\": {{\"ns_per_iter\": {ns:.1}{thrpt}}}{sep}\n"
+            "    \"{id}\": {{\"ns_per_iter\": {:.1}{spread}{thrpt}}}{sep}\n",
+            est.median
         ));
     }
     body.push_str("  }\n}\n");
@@ -302,6 +372,11 @@ pub fn baseline_json(group: &str, entries: &[(&str, f64, Option<u64>)]) -> Strin
 
 /// Allowed slowdown versus the baseline before `--check` fails.
 pub const REGRESSION_LIMIT_PCT: f64 = 25.0;
+
+/// Width of the noise band, in multiples of the summed MADs of the
+/// baseline and the new measurement: a slowdown inside it is not a
+/// regression, however large its percentage.
+pub const NOISE_MADS: f64 = 3.0;
 
 /// Set when any group's `--check` comparison finds a regression.
 static CHECK_FAILED: AtomicBool = AtomicBool::new(false);
@@ -312,32 +387,35 @@ pub fn check_failed() -> bool {
     CHECK_FAILED.load(Ordering::Relaxed)
 }
 
-/// Compares measured `(id, ns_per_iter)` entries against a baseline
-/// file body (the format written by [`baseline_json`]) and renders one
-/// verdict line per benchmark, prefixed `REGRESSION` when more than
-/// [`REGRESSION_LIMIT_PCT`]% slower. Entries absent on either side are
-/// reported but are not regressions — a benchmark suite is allowed to
-/// grow.
-pub fn check_report(measured: &[(String, f64)], baseline_body: &str) -> Vec<String> {
+/// Compares measured `(id, estimate)` entries against a baseline file
+/// body (the format written by [`baseline_json`]) and renders one
+/// verdict line per benchmark, prefixed `REGRESSION` when the median is
+/// more than [`REGRESSION_LIMIT_PCT`]% slower and the slowdown exceeds
+/// the noise band ([`NOISE_MADS`] times the summed MADs). Entries
+/// absent on either side are reported but are not regressions — a
+/// benchmark suite is allowed to grow.
+pub fn check_report(measured: &[(String, Estimate)], baseline_body: &str) -> Vec<String> {
     let baseline = parse_baseline(baseline_body);
     let mut lines = Vec::new();
-    for (id, ns) in measured {
+    for (id, cur) in measured {
         match baseline.iter().find(|(base_id, _)| base_id == id) {
             None => lines.push(format!("{id}: new benchmark, no baseline entry")),
-            Some((_, base_ns)) => {
-                let delta_pct = 100.0 * (ns - base_ns) / base_ns;
-                if delta_pct > REGRESSION_LIMIT_PCT {
+            Some((_, base)) => {
+                let slowdown = cur.median - base.median;
+                let delta_pct = 100.0 * slowdown / base.median;
+                let noise = NOISE_MADS * (cur.mad + base.mad);
+                let verdict = format!(
+                    "{id}: {} vs baseline {} ({delta_pct:+.1}%, noise band {})",
+                    format_ns(cur.median),
+                    format_ns(base.median),
+                    format_ns(noise)
+                );
+                if delta_pct > REGRESSION_LIMIT_PCT && slowdown > noise {
                     lines.push(format!(
-                        "REGRESSION {id}: {} vs baseline {} ({delta_pct:+.1}%, limit +{REGRESSION_LIMIT_PCT:.0}%)",
-                        format_ns(*ns),
-                        format_ns(*base_ns)
+                        "REGRESSION {verdict}, limit +{REGRESSION_LIMIT_PCT:.0}%"
                     ));
                 } else {
-                    lines.push(format!(
-                        "{id}: {} vs baseline {} ({delta_pct:+.1}%)",
-                        format_ns(*ns),
-                        format_ns(*base_ns)
-                    ));
+                    lines.push(verdict);
                 }
             }
         }
@@ -350,11 +428,23 @@ pub fn check_report(measured: &[(String, f64)], baseline_body: &str) -> Vec<Stri
     lines
 }
 
-/// Extracts `(id, ns_per_iter)` pairs from a baseline file. The format
-/// is the shim's own output — one benchmark per line, e.g.
-/// `    "record/gzip": {"ns_per_iter": 1234.5, "per_iter": 50000},` —
-/// so a line-oriented scan is exact.
-pub fn parse_baseline(body: &str) -> Vec<(String, f64)> {
+/// Extracts `(id, estimate)` pairs from a baseline file. The format is
+/// the shim's own output — one benchmark per line, e.g.
+/// `    "record/gzip": {"ns_per_iter": 1234.5, "min_ns": 1200.0,
+/// "mad_ns": 10.5, "samples": 10, "per_iter": 50000},` — so a
+/// line-oriented scan is exact. An entry without `min_ns`/`mad_ns`
+/// reads as a single measurement.
+pub fn parse_baseline(body: &str) -> Vec<(String, Estimate)> {
+    let number = |rest: &str, key: &str| -> Option<f64> {
+        let after = rest.split_once(&format!("\"{key}\":"))?.1;
+        after
+            .trim_start()
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+            .collect::<String>()
+            .parse()
+            .ok()
+    };
     let mut out = Vec::new();
     for line in body.lines() {
         let Some(rest) = line.trim_start().strip_prefix('"') else {
@@ -366,17 +456,16 @@ pub fn parse_baseline(body: &str) -> Vec<(String, f64)> {
         if id == "group" {
             continue;
         }
-        let Some(rest) = rest.split_once("\"ns_per_iter\":").map(|(_, v)| v) else {
+        let Some(median) = number(rest, "ns_per_iter") else {
             continue;
         };
-        let number: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(ns) = number.parse() {
-            out.push((id.to_string(), ns));
+        let mut estimate = Estimate::point(median);
+        if let (Some(min), Some(mad)) = (number(rest, "min_ns"), number(rest, "mad_ns")) {
+            estimate.min = min;
+            estimate.mad = mad;
+            estimate.samples = number(rest, "samples").map_or(1, |n| n as usize);
         }
+        out.push((id.to_string(), estimate));
     }
     out
 }
@@ -568,6 +657,19 @@ mod tests {
         assert!(body.contains("\"busy\""));
         let _ = std::fs::remove_file(path);
         assert!(acc > 0);
+        // Three samples were asked for; the shim takes its minimum.
+        let (_, busy) = &parse_baseline(&body)[0];
+        assert_eq!(busy.samples, MIN_SAMPLES, "{body}");
+        assert!(busy.min <= busy.median && busy.mad >= 0.0, "{body}");
+    }
+
+    #[test]
+    fn estimates_summarize_samples() {
+        let mut samples = [14.0, 10.0, 12.0, 11.0, 40.0];
+        let e = Estimate::from_samples(&mut samples);
+        // Sorted: 10 11 12 14 40; deviations from 12: 0 1 2 2 28.
+        assert_eq!((e.median, e.min, e.mad, e.samples), (12.0, 10.0, 2.0, 5));
+        assert_eq!(Estimate::point(7.0).mad, 0.0);
     }
 
     #[test]
@@ -580,7 +682,8 @@ mod tests {
   "group": "functional",
   "benchmarks": {
     "record/gzip": {"ns_per_iter": 1000.0, "per_iter": 50000},
-    "simulate/gzip": {"ns_per_iter": 2000.0}
+    "simulate/gzip": {"ns_per_iter": 2000.0},
+    "noisy/gzip": {"ns_per_iter": 2000.0, "min_ns": 1500.0, "mad_ns": 150.0, "samples": 10}
   }
 }
 "#;
@@ -588,34 +691,43 @@ mod tests {
     #[test]
     fn baseline_parsing_extracts_all_entries() {
         let parsed = parse_baseline(BASELINE);
+        let noisy = Estimate {
+            median: 2000.0,
+            min: 1500.0,
+            mad: 150.0,
+            samples: 10,
+        };
         assert_eq!(
             parsed,
             vec![
-                ("record/gzip".to_string(), 1000.0),
-                ("simulate/gzip".to_string(), 2000.0),
+                ("record/gzip".to_string(), Estimate::point(1000.0)),
+                ("simulate/gzip".to_string(), Estimate::point(2000.0)),
+                ("noisy/gzip".to_string(), noisy),
             ]
         );
     }
 
-    fn record(id: &str, ns: f64) -> (String, f64) {
-        (id.to_string(), ns)
+    fn record(id: &str, ns: f64) -> (String, Estimate) {
+        (id.to_string(), Estimate::point(ns))
     }
 
     #[test]
     fn baseline_json_round_trips_through_the_parser() {
+        let sampled = Estimate::from_samples(&mut [99.0, 97.0, 105.0]);
         let body = baseline_json(
             "serve",
             &[
-                ("serve/p50", 1234.5, None),
-                ("record/gzip", 99.0, Some(50_000)),
+                ("serve/p50", Estimate::point(1234.5), None),
+                ("record/gzip", sampled, Some(50_000)),
             ],
         );
         assert!(body.contains("\"per_iter\": 50000"), "{body}");
+        assert!(!body.lines().nth(3).unwrap().contains("mad_ns"), "{body}");
         assert_eq!(
             parse_baseline(&body),
             vec![
-                ("serve/p50".to_string(), 1234.5),
-                ("record/gzip".to_string(), 99.0),
+                ("serve/p50".to_string(), Estimate::point(1234.5)),
+                ("record/gzip".to_string(), sampled),
             ]
         );
     }
@@ -628,10 +740,36 @@ mod tests {
             record("profile/gzip", 99.0),    // not in the baseline
         ];
         let report = check_report(&records, BASELINE);
-        assert_eq!(report.len(), 3);
+        assert_eq!(report.len(), 4);
         assert!(!report[0].starts_with("REGRESSION"), "{}", report[0]);
         assert!(report[1].starts_with("REGRESSION"), "{}", report[1]);
         assert!(report[2].contains("no baseline entry"), "{}", report[2]);
+        assert!(report[3].contains("noisy/gzip"), "{}", report[3]);
+    }
+
+    #[test]
+    fn check_forgives_slowdowns_inside_the_noise_band() {
+        let slower = |mad: f64| {
+            let current = Estimate {
+                median: 2600.0, // +30%, beyond the limit
+                min: 2300.0,
+                mad,
+                samples: 10,
+            };
+            check_report(&[("noisy/gzip".to_string(), current)], BASELINE)
+        };
+        // Band 3 * (150 + 100) = 750 > 600: noise.
+        assert!(
+            !slower(100.0)[0].starts_with("REGRESSION"),
+            "{:?}",
+            slower(100.0)
+        );
+        // Band 3 * (150 + 0) = 450 < 600: a regression.
+        assert!(
+            slower(0.0)[0].starts_with("REGRESSION"),
+            "{:?}",
+            slower(0.0)
+        );
     }
 
     #[test]
