@@ -201,20 +201,16 @@ fn functional_toolchain(c: &mut Criterion) {
         b.iter(|| black_box(sweep_profile(&model, &profile, &grid, &variant, tag).unwrap()))
     });
 
-    // The out-of-core data plane: a cold corpus replay (the paged
-    // FileReplay cursor, re-deriving op/register/side-column facts from
-    // the packed bytes on every pass) vs a warm sidecar re-replay (the
-    // memoized pre-decoded records, a straight columnar scan of already
-    // resolved facts — what profiling reads after the first pass built
-    // the sidecar). The recorded baselines embody the sidecar >= 2x
-    // cold gate: `--check` fails if either side drifts.
+    // The two production replay paths, folding the same full `Inst`
+    // stream: the paged FileReplay cursor over a corpus file (what
+    // `profile_many_corpus` and `simulate_corpus` read) vs the
+    // in-memory PackedTrace cursor (what workload profiling reads).
     let corpus_path = std::env::temp_dir().join(format!(
         "fosm-bench-functional-corpus-{}.fct",
         std::process::id()
     ));
     fosm_trace::write_corpus(&corpus_path, &trace).expect("write bench corpus");
     let corpus = fosm_trace::CorpusFile::open(&corpus_path).expect("open bench corpus");
-    let sidecar = fosm_trace::DecodedTrace::from_corpus(&corpus).expect("build sidecar");
 
     group.throughput(Throughput::Elements(TRACE_LEN));
     group.bench_function("corpus-replay-cold", |b| {
@@ -229,16 +225,12 @@ fn functional_toolchain(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("corpus-replay-sidecar", |b| {
+    group.bench_function("packed-replay", |b| {
         b.iter(|| {
+            let mut replay = trace.replay();
             let mut acc = 0u64;
-            for rec in sidecar.records() {
-                acc ^= rec.pc
-                    ^ if rec.flags & fosm_trace::DF_LOAD != 0 {
-                        rec.aux
-                    } else {
-                        0
-                    };
+            while let Some(inst) = replay.next_inst() {
+                acc ^= inst.pc ^ inst.mem_addr.unwrap_or(0);
             }
             black_box(acc)
         })

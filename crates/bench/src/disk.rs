@@ -1,10 +1,11 @@
 //! Content-addressed on-disk artifact cache.
 //!
 //! The in-process [`ArtifactStore`](crate::store::ArtifactStore)
-//! memoizes traces and profiles for the lifetime of one process; a
-//! long-running daemon (or repeated CLI invocations) wants that warm
-//! state to survive restarts. [`DiskCache`] is the persistence layer:
-//! each artifact is written to `<root>/<kind>/<hash>.art`, where
+//! memoizes traces, simulations and profiles for the lifetime of one
+//! process; a long-running daemon (or repeated CLI invocations) wants
+//! the profiles, from which the model re-evaluates any machine, to
+//! survive restarts. [`DiskCache`] is the persistence layer: each
+//! artifact is written to `<root>/<kind>/<hash>.art`, where
 //! `<hash>` is the FNV-1a 64 digest of the artifact's full logical key
 //! string (the same exact `Debug`-rendered key the in-memory store
 //! uses, so distinct configurations can never alias).
@@ -35,11 +36,6 @@
 //! mtime" is not enough on coarse-timestamp filesystems (rapid writes
 //! land on identical mtimes, and the path tie-break could then delete
 //! the fresh entry), so eviction explicitly skips it.
-//!
-//! Payloads are serde-JSON by default ([`DiskCache::load`] /
-//! [`DiskCache::store`]); binary artifacts (e.g. the corpus replay
-//! sidecar) use [`DiskCache::load_bytes`] / [`DiskCache::store_bytes`]
-//! with the identical container, verification, and eviction behavior.
 //!
 //! Traffic is counted both in local atomics ([`DiskCache::stats`],
 //! served verbatim by `fosm client stats`) and as `store.disk_*`
@@ -114,16 +110,21 @@ impl DiskCache {
     /// `FOSM_CACHE_MAX_BYTES` (budget, default 1 GiB). Returns `None`
     /// when the variable is unset or empty; an unusable directory is
     /// reported on stderr and disables the cache rather than failing
-    /// the run.
+    /// the run, and a malformed budget is reported on stderr and
+    /// replaced by the default.
     pub fn from_env() -> Option<DiskCache> {
         let root = std::env::var("FOSM_CACHE_DIR").ok()?;
         if root.is_empty() {
             return None;
         }
-        let max_bytes = std::env::var("FOSM_CACHE_MAX_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_MAX_BYTES);
+        let max_bytes = parse_max_bytes(std::env::var("FOSM_CACHE_MAX_BYTES").ok().as_deref())
+            .unwrap_or_else(|why| {
+                eprintln!(
+                    "warning: ignoring FOSM_CACHE_MAX_BYTES ({why}); \
+                     using the default budget of {DEFAULT_MAX_BYTES} bytes"
+                );
+                DEFAULT_MAX_BYTES
+            });
         match DiskCache::new(&root, max_bytes) {
             Ok(cache) => Some(cache),
             Err(e) => {
@@ -148,61 +149,37 @@ impl DiskCache {
     /// miss, so the caller transparently recomputes.
     pub fn load<T: Deserialize>(&self, kind: &str, key: &str) -> Option<T> {
         let path = self.entry_path(kind, key);
-        let payload = self.read_verified(&path, key)?;
-        let text = match std::str::from_utf8(&payload) {
-            Ok(text) => text,
-            Err(_) => {
-                self.discard_corrupt(&path, key, "payload is not UTF-8");
-                return None;
-            }
+        let Ok(bytes) = std::fs::read(&path) else {
+            self.miss();
+            return None;
         };
-        match serde_json::from_str::<T>(text) {
-            Ok(value) => {
-                self.hit();
-                Some(value)
-            }
-            Err(_) => {
-                // The checksum held but the payload does not parse:
-                // a format drift or foreign writer. Same remedy.
-                self.discard_corrupt(&path, key, "payload does not deserialize");
-                None
-            }
-        }
-    }
-
-    /// Loads a raw binary payload stored under `(kind, key)` with
-    /// [`store_bytes`](Self::store_bytes): the same container,
-    /// checksum verification, and corrupt-entry self-healing as
-    /// [`load`](Self::load), minus the JSON layer.
-    pub fn load_bytes(&self, kind: &str, key: &str) -> Option<Vec<u8>> {
-        let path = self.entry_path(kind, key);
-        let payload = self.read_verified(&path, key)?;
-        self.hit();
-        Some(payload)
-    }
-
-    /// Reads and structurally verifies the entry at `path`, returning
-    /// its payload. Counts the miss / discards the corrupt entry
-    /// itself; the caller counts the hit once its own payload layer
-    /// accepts the bytes.
-    fn read_verified(&self, path: &Path, key: &str) -> Option<Vec<u8>> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                self.miss();
-                return None;
-            }
-        };
-        match verify_entry(&bytes, key) {
-            Verified::Payload(payload) => Some(payload.to_vec()),
+        let payload = match verify_entry(&bytes, key) {
+            Verified::Payload(payload) => payload,
             Verified::ForeignKey => {
                 // A different key hashed to the same file name: not
                 // corruption — just not our entry.
                 self.miss();
-                None
+                return None;
             }
             Verified::Corrupt(why) => {
-                self.discard_corrupt(path, key, why);
+                self.discard_corrupt(&path, key, why);
+                return None;
+            }
+        };
+        // A payload whose checksum held but which does not parse is a
+        // format drift or a foreign writer: same remedy as corruption.
+        let parsed = std::str::from_utf8(payload)
+            .map_err(|_| "payload is not UTF-8")
+            .and_then(|text| {
+                serde_json::from_str::<T>(text).map_err(|_| "payload does not deserialize")
+            });
+        match parsed {
+            Ok(value) => {
+                self.hit();
+                Some(value)
+            }
+            Err(why) => {
+                self.discard_corrupt(&path, key, why);
                 None
             }
         }
@@ -220,12 +197,7 @@ impl DiskCache {
                 return;
             }
         };
-        self.store_bytes(kind, key, payload.as_bytes());
-    }
-
-    /// Writes a raw binary payload under `(kind, key)` — identical
-    /// container and eviction behavior to [`store`](Self::store).
-    pub fn store_bytes(&self, kind: &str, key: &str, payload: &[u8]) {
+        let payload = payload.as_bytes();
         let mut entry = Vec::with_capacity(HEADER_LEN + key.len() + payload.len());
         entry.extend_from_slice(MAGIC);
         entry.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -342,6 +314,20 @@ impl DiskCache {
     }
 }
 
+/// Parses a `FOSM_CACHE_MAX_BYTES` value: `None` or an empty string
+/// means "not set" ([`DEFAULT_MAX_BYTES`]); a plain byte count is the
+/// budget; anything else — a unit suffix such as `512M`, a sign, a
+/// value that overflows `u64` — is an error naming the value, so the
+/// caller warns instead of silently falling back to the default.
+fn parse_max_bytes(raw: Option<&str>) -> Result<u64, String> {
+    let raw = raw.map(str::trim).unwrap_or_default();
+    if raw.is_empty() {
+        return Ok(DEFAULT_MAX_BYTES);
+    }
+    raw.parse::<u64>()
+        .map_err(|e| format!("`{raw}` is not a byte count: {e}"))
+}
+
 /// Outcome of structural verification of an entry file.
 enum Verified<'a> {
     /// The entry is intact and belongs to the requested key.
@@ -404,6 +390,18 @@ mod tests {
         files.sort();
         assert_eq!(files.len(), 1, "expected exactly one entry");
         files.remove(0)
+    }
+
+    #[test]
+    fn max_bytes_parses_strictly() {
+        assert_eq!(parse_max_bytes(None), Ok(DEFAULT_MAX_BYTES));
+        assert_eq!(parse_max_bytes(Some("")), Ok(DEFAULT_MAX_BYTES));
+        assert_eq!(parse_max_bytes(Some(" 4096 ")), Ok(4096));
+        assert_eq!(parse_max_bytes(Some("0")), Ok(0));
+        for bad in ["512M", "1e9", "-1", "18446744073709551616", "1 GiB"] {
+            let why = parse_max_bytes(Some(bad)).expect_err(bad);
+            assert!(why.contains(bad), "error `{why}` must name `{bad}`");
+        }
     }
 
     #[test]
@@ -480,25 +478,6 @@ mod tests {
         );
         assert_eq!(cache.load::<Vec<u8>>("trace", "new"), Some(blob));
         assert!(cache.stats().evictions >= 1);
-        cleanup(&cache);
-    }
-
-    #[test]
-    fn bytes_round_trip_shares_container_and_verification() {
-        let cache = temp_cache("bytes", u64::MAX);
-        let blob: Vec<u8> = (0..=255).cycle().take(4096).collect();
-        assert_eq!(cache.load_bytes("sidecar", "k"), None);
-        cache.store_bytes("sidecar", "k", &blob);
-        assert_eq!(cache.load_bytes("sidecar", "k"), Some(blob.clone()));
-        // Same corruption self-healing as the JSON layer.
-        let path = entry_file(&cache, "sidecar");
-        let mut bytes = std::fs::read(&path).expect("entry readable");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&path, &bytes).expect("tamper");
-        assert_eq!(cache.load_bytes("sidecar", "k"), None);
-        assert_eq!(cache.stats().corruptions, 1);
-        assert!(!path.exists());
         cleanup(&cache);
     }
 

@@ -242,8 +242,8 @@ pub fn profile_many(
 }
 
 /// Like [`profile_many`], over any replay source — the corpus paths
-/// feed a paged [`fosm_trace::FileReplay`] or a pre-decoded
-/// [`fosm_trace::DecodedReplay`] here instead of an in-memory trace.
+/// feed a paged [`fosm_trace::FileReplay`] here instead of an in-memory
+/// trace.
 ///
 /// # Errors
 ///

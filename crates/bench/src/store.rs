@@ -34,7 +34,7 @@ use fosm_core::params::ProcessorParams;
 use fosm_core::profile::{Probe, ProbeBank, ProgramProfile};
 use fosm_core::ModelError;
 use fosm_sim::{MachineConfig, SimReport};
-use fosm_trace::{CorpusFile, DecodedTrace, PackedTrace};
+use fosm_trace::{CorpusFile, PackedTrace};
 use fosm_workloads::BenchmarkSpec;
 
 use crate::disk::DiskCache;
@@ -129,21 +129,14 @@ pub struct ArtifactStore {
     reports: Mutex<HashMap<(TraceKey, String), Arc<SimReport>>>,
     traced: Mutex<HashMap<(TraceKey, String), Arc<TracedRun>>>,
     profiles: Mutex<HashMap<ProfileKey, Arc<ProgramProfile>>>,
-    /// Pre-decoded sidecar tables for corpus files, keyed by corpus
-    /// identity (`path@bytes#digest`). A sidecar is a pure function of
-    /// the corpus contents, so identity keying doubles as the
-    /// invalidation rule: rewriting a corpus changes its digest, the
-    /// old entry simply stops being looked up, and (on disk) ages out
-    /// of the cache's LRU budget.
-    sidecars: Mutex<HashMap<String, Arc<DecodedTrace>>>,
     trace_traffic: Counter,
     sim_traffic: Counter,
     profile_traffic: Counter,
-    /// Optional persistence layer: traces and profiles missing from the
-    /// in-memory tables are read through it before being recomputed,
-    /// and written through it after computation, so the warm state
-    /// survives process restarts (the serve daemon's cache-reuse
-    /// contract). Attached at most once.
+    /// Optional persistence layer: profiles missing from the in-memory
+    /// table are read through it before being recomputed, and written
+    /// through it after computation, so the warm state survives
+    /// process restarts (the serve daemon's cache-reuse contract).
+    /// Attached at most once.
     disk: OnceLock<Arc<DiskCache>>,
 }
 
@@ -180,25 +173,16 @@ impl ArtifactStore {
     }
 
     /// The benchmark's recorded trace (packed SoA layout), recording
-    /// it on first use. With a disk cache attached, a trace missing
-    /// from memory is loaded from disk before being re-recorded, and
-    /// written through after recording.
+    /// it on first use. Memory only: the disk cache never holds traces,
+    /// because generating one from `(spec, n, seed)` is cheaper than
+    /// loading it back.
     pub fn trace(&self, spec: &BenchmarkSpec, n: u64, seed: u64) -> Arc<PackedTrace> {
-        let key = trace_key(spec, n, seed);
-        let disk_key = disk_trace_key(&key);
-        let disk = self.disk.get();
-        memo(&self.traces, &self.trace_traffic, key, || {
-            if let Some(disk) = disk {
-                if let Some(trace) = disk.load::<PackedTrace>("trace", &disk_key) {
-                    return trace;
-                }
-            }
-            let trace = harness::record_seeded(spec, n, seed);
-            if let Some(disk) = disk {
-                disk.store("trace", &disk_key, &trace);
-            }
-            trace
-        })
+        memo(
+            &self.traces,
+            &self.trace_traffic,
+            trace_key(spec, n, seed),
+            || harness::record_seeded(spec, n, seed),
+        )
     }
 
     /// The detailed simulator's report for `(trace, config)`, running
@@ -362,10 +346,9 @@ impl ArtifactStore {
     /// corpus's file identity (path + byte size + content digest), so
     /// rewriting a corpus in place can never serve stale profiles.
     ///
-    /// The fused fill replays the memoized pre-decoded sidecar when
-    /// one is available (see [`corpus_sidecar`](Self::corpus_sidecar)),
-    /// and falls back to the paged [`fosm_trace::FileReplay`] cursor —
-    /// O(page) resident — for corpora above the sidecar size cap.
+    /// The fused fill replays the file through the paged
+    /// [`fosm_trace::FileReplay`] cursor, so resident memory is O(page)
+    /// whatever the corpus length.
     ///
     /// # Errors
     ///
@@ -378,24 +361,14 @@ impl ArtifactStore {
         bank: &ProbeBank,
         corpus: &CorpusFile,
     ) -> Result<Vec<Arc<ProgramProfile>>, ModelError> {
-        self.profile_many_keyed(
-            params,
-            bank,
-            &corpus_trace_key(corpus),
-            |sub_bank| match self.corpus_sidecar(corpus)? {
-                Some(sidecar) => {
-                    harness::profile_many_from(params, sub_bank, &mut sidecar.replay())
-                }
-                None => {
-                    let mut replay = corpus.replay();
-                    let profiles = harness::profile_many_from(params, sub_bank, &mut replay)?;
-                    if let Some(e) = replay.take_error() {
-                        return Err(corpus_error(corpus, &e));
-                    }
-                    Ok(profiles)
-                }
-            },
-        )
+        self.profile_many_keyed(params, bank, &corpus_trace_key(corpus), |sub_bank| {
+            let mut replay = corpus.replay();
+            let profiles = harness::profile_many_from(params, sub_bank, &mut replay)?;
+            match replay.take_error() {
+                Some(e) => Err(corpus_error(corpus, &e)),
+                None => Ok(profiles),
+            }
+        })
     }
 
     /// The memoization core shared by the workload and corpus profile
@@ -486,74 +459,17 @@ impl ArtifactStore {
             return Ok(Arc::clone(v));
         }
         self.sim_traffic.miss();
-        let report = match self.corpus_sidecar(corpus)? {
-            Some(sidecar) => harness::simulate_from(config, &mut sidecar.replay()),
-            None => {
-                let mut replay = corpus.replay();
-                let report = harness::simulate_from(config, &mut replay);
-                if let Some(e) = replay.take_error() {
-                    return Err(corpus_error(corpus, &e));
-                }
-                report
-            }
-        };
+        let mut replay = corpus.replay();
+        let report = harness::simulate_from(config, &mut replay);
+        if let Some(e) = replay.take_error() {
+            return Err(corpus_error(corpus, &e));
+        }
         match self.reports.lock().expect("store lock").entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => Ok(Arc::clone(e.get())),
             std::collections::hash_map::Entry::Vacant(e) => {
                 self.sim_traffic.insert();
                 Ok(Arc::clone(e.insert(Arc::new(report))))
             }
-        }
-    }
-
-    /// The corpus's pre-decoded sidecar table, built once on first use
-    /// and memoized through the in-memory table and the disk cache
-    /// (kind `sidecar`, keyed by corpus identity). Returns `Ok(None)` —
-    /// with a `corpus.sidecar_skip` count — for corpora longer than
-    /// `FOSM_SIDECAR_MAX` instructions (default 8 million, ~23 B each),
-    /// whose callers should stay on the O(page) file cursor instead of
-    /// materializing a table.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Corpus`] if building the table hits an I/O or
-    /// decode failure.
-    pub fn corpus_sidecar(
-        &self,
-        corpus: &CorpusFile,
-    ) -> Result<Option<Arc<DecodedTrace>>, ModelError> {
-        if corpus.len() > sidecar_cap() {
-            fosm_obs::counter_add("corpus.sidecar_skip", 1);
-            return Ok(None);
-        }
-        let id = corpus.identity();
-        if let Some(sidecar) = self.sidecars.lock().expect("store lock").get(&id) {
-            fosm_obs::counter_add("corpus.sidecar_hit", 1);
-            return Ok(Some(Arc::clone(sidecar)));
-        }
-        if let Some(disk) = self.disk.get() {
-            if let Some(bytes) = disk.load_bytes("sidecar", &id) {
-                if let Ok(sidecar) = DecodedTrace::from_bytes(&bytes) {
-                    fosm_obs::counter_add("corpus.sidecar_hit", 1);
-                    return Ok(Some(self.insert_sidecar(&id, sidecar)));
-                }
-            }
-        }
-        let sidecar = DecodedTrace::from_corpus(corpus).map_err(|e| corpus_error(corpus, &e))?;
-        fosm_obs::counter_add("corpus.sidecar_build", 1);
-        if let Some(disk) = self.disk.get() {
-            disk.store_bytes("sidecar", &id, &sidecar.to_bytes());
-        }
-        Ok(Some(self.insert_sidecar(&id, sidecar)))
-    }
-
-    /// Inserts a built (or disk-loaded) sidecar into the in-memory
-    /// table, keeping the first inserted allocation on a race.
-    fn insert_sidecar(&self, id: &str, sidecar: DecodedTrace) -> Arc<DecodedTrace> {
-        let mut table = self.sidecars.lock().expect("store lock");
-        match table.entry(id.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
-            std::collections::hash_map::Entry::Vacant(e) => Arc::clone(e.insert(Arc::new(sidecar))),
         }
     }
 
@@ -609,24 +525,9 @@ fn corpus_error(corpus: &CorpusFile, e: &dyn std::fmt::Display) -> ModelError {
     ModelError::Corpus(format!("{}: {e}", corpus.path().display()))
 }
 
-/// Sidecar size cap in instructions: `FOSM_SIDECAR_MAX` when set to a
-/// number, 8 million otherwise (~184 MB of table at 23 bytes per
-/// instruction).
-fn sidecar_cap() -> u64 {
-    std::env::var("FOSM_SIDECAR_MAX")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8_000_000)
-}
-
-/// Renders a trace key as the disk cache's logical key string. The
+/// Renders a profile key as the disk cache's logical key string. The
 /// rendering embeds the full spec `Debug` output, so distinct specs
 /// can never alias on disk any more than they can in memory.
-fn disk_trace_key(key: &TraceKey) -> String {
-    format!("{key:?}")
-}
-
-/// Renders a profile key as the disk cache's logical key string.
 fn disk_profile_key(key: &ProfileKey) -> String {
     format!("{key:?}")
 }
@@ -788,29 +689,57 @@ mod tests {
         Arc::new(DiskCache::new(root, u64::MAX).expect("temp disk cache"))
     }
 
+    /// The kind directories a disk cache holds, sorted.
+    fn disk_kinds(disk: &DiskCache) -> Vec<String> {
+        let mut kinds: Vec<String> = std::fs::read_dir(disk.root())
+            .expect("cache root")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        kinds.sort();
+        kinds
+    }
+
     #[test]
-    fn warm_store_restart_serves_traces_and_profiles_from_disk() {
+    fn warm_store_restart_serves_profiles_from_disk() {
         let disk = temp_disk("restart");
         let spec = BenchmarkSpec::gzip();
         let params = harness::params_of(&MachineConfig::baseline());
+        let path = temp_corpus("restart", 2_000);
+        let corpus = CorpusFile::open(&path).expect("open corpus");
+        let bank = ProbeBank::from(vec![Probe::new("gzip".to_string())]);
 
-        // Cold process: everything computed, written through to disk.
+        // Cold process: both profiles computed and written through;
+        // neither the workload trace nor the corpus is persisted.
         let cold_store = ArtifactStore::new();
         cold_store.attach_disk(Arc::clone(&disk));
-        let cold_trace = cold_store.trace(&spec, 2_000, 7);
         let cold_profile = cold_store.profile(&params, &spec.name, &spec, 2_000, 7);
-        assert_eq!(disk.stats().inserts, 2, "trace + profile written through");
+        let cold_corpus = cold_store
+            .profile_many_corpus(&params, &bank, &corpus)
+            .expect("cold corpus profiles");
+        assert_eq!(disk.stats().inserts, 2, "two profiles written through");
+        assert_eq!(
+            disk_kinds(&disk),
+            ["profile"],
+            "the disk holds profiles only"
+        );
 
         // "Restart": a fresh store sharing only the disk directory.
         let warm_store = ArtifactStore::new();
         warm_store.attach_disk(Arc::clone(&disk));
-        let warm_trace = warm_store.trace(&spec, 2_000, 7);
         let warm_profile = warm_store.profile(&params, &spec.name, &spec, 2_000, 7);
-        assert_eq!(*warm_trace, *cold_trace);
-        assert_eq!(*warm_profile, *cold_profile);
+        let warm_corpus = warm_store
+            .profile_many_corpus(&params, &bank, &corpus)
+            .expect("warm corpus profiles");
+        let json = |p: &ProgramProfile| serde_json::to_string(p).expect("profile serializes");
+        assert_eq!(json(&warm_profile), json(&cold_profile));
+        assert_eq!(json(&warm_corpus[0]), json(&cold_corpus[0]));
         let stats = disk.stats();
         assert_eq!(stats.hits, 2, "warm run must be served from disk");
         assert_eq!(stats.inserts, 2, "warm run must not recompute");
+        assert_eq!(warm_store.stats().trace_misses, 0, "no trace regenerated");
+        assert_eq!(disk_kinds(&disk), ["profile"]);
+        let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir_all(disk.root());
     }
 
@@ -818,14 +747,15 @@ mod tests {
     fn corrupted_disk_entry_is_recomputed_identically() {
         let disk = temp_disk("corrupt");
         let spec = BenchmarkSpec::gzip();
+        let params = harness::params_of(&MachineConfig::baseline());
         let cold_store = ArtifactStore::new();
         cold_store.attach_disk(Arc::clone(&disk));
-        let original = cold_store.trace(&spec, 1_500, 11);
+        let original = cold_store.profile(&params, &spec.name, &spec, 1_500, 11);
 
         // Truncate the one blob on disk mid-payload.
-        let kind_dir = disk.root().join("trace");
+        let kind_dir = disk.root().join("profile");
         let entry = std::fs::read_dir(&kind_dir)
-            .expect("trace dir")
+            .expect("profile dir")
             .flatten()
             .next()
             .expect("one entry")
@@ -835,11 +765,11 @@ mod tests {
 
         let warm_store = ArtifactStore::new();
         warm_store.attach_disk(Arc::clone(&disk));
-        let recomputed = warm_store.trace(&spec, 1_500, 11);
+        let recomputed = warm_store.profile(&params, &spec.name, &spec, 1_500, 11);
         assert_eq!(*recomputed, *original, "recompute must be deterministic");
         let stats = disk.stats();
         assert_eq!(stats.corruptions, 1);
-        assert_eq!(stats.inserts, 2, "recomputed trace re-written through");
+        assert_eq!(stats.inserts, 2, "recomputed profile re-written through");
         let _ = std::fs::remove_dir_all(disk.root());
     }
 
@@ -866,7 +796,7 @@ mod tests {
             .expect("corpus profiles");
         let trace = harness::record_seeded(&spec, 3_000, harness::SEED);
         let direct = harness::profile(&params, &spec.name, &trace);
-        assert_eq!(*profiles[0], direct, "sidecar replay must be exact");
+        assert_eq!(*profiles[0], direct, "paged replay must be exact");
         // Second call is a pure memory hit on the identity-keyed entry.
         let again = store
             .profile_many_corpus(&params, &bank, &corpus)
@@ -878,62 +808,19 @@ mod tests {
     }
 
     #[test]
-    fn corpus_simulation_matches_the_in_memory_run_with_and_without_sidecar() {
+    fn corpus_simulation_matches_the_in_memory_run() {
         let path = temp_corpus("simulate", 3_000);
         let corpus = CorpusFile::open(&path).expect("open corpus");
         let config = MachineConfig::baseline();
         let trace = harness::record_seeded(&BenchmarkSpec::gzip(), 3_000, harness::SEED);
         let direct = harness::simulate(&config, &trace);
 
-        // Sidecar path (default cap admits 3k instructions).
         let store = ArtifactStore::new();
         let report = store.simulate_corpus(&config, &corpus).expect("sim");
-        assert_eq!(*report, direct);
+        assert_eq!(*report, direct, "paged replay must be exact");
         let again = store.simulate_corpus(&config, &corpus).expect("sim hit");
         assert!(Arc::ptr_eq(&report, &again));
-
-        // Paged-cursor path: a fresh store whose sidecar lookup is
-        // skipped because the corpus exceeds the (env-free) cap check
-        // is hard to isolate without env races, so drive the fallback
-        // replay directly instead.
-        let mut replay = corpus.replay();
-        let paged = harness::simulate_from(&config, &mut replay);
-        assert!(replay.take_error().is_none());
-        assert_eq!(paged, direct, "paged cursor must be exact too");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corpus_sidecar_survives_a_restart_through_the_disk_cache() {
-        let path = temp_corpus("sidecar-disk", 2_000);
-        let corpus = CorpusFile::open(&path).expect("open corpus");
-        let disk = temp_disk("sidecar");
-        let params = harness::params_of(&MachineConfig::baseline());
-        let bank = ProbeBank::from(vec![Probe::new("gzip".to_string())]);
-
-        let cold = ArtifactStore::new();
-        cold.attach_disk(Arc::clone(&disk));
-        let cold_profiles = cold
-            .profile_many_corpus(&params, &bank, &corpus)
-            .expect("cold corpus profiles");
-        // Sidecar + profile written through.
-        assert_eq!(disk.stats().inserts, 2);
-
-        let warm = ArtifactStore::new();
-        warm.attach_disk(Arc::clone(&disk));
-        let sidecar = warm
-            .corpus_sidecar(&corpus)
-            .expect("warm sidecar")
-            .expect("within cap");
-        assert_eq!(sidecar.len() as u64, corpus.len());
-        assert_eq!(disk.stats().hits, 1, "sidecar served from disk");
-        let warm_profiles = warm
-            .profile_many_corpus(&params, &bank, &corpus)
-            .expect("warm corpus profiles");
-        assert_eq!(*warm_profiles[0], *cold_profiles[0]);
-        assert_eq!(disk.stats().hits, 2, "profile served from disk too");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir_all(disk.root());
     }
 
     #[test]

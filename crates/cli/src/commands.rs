@@ -203,9 +203,9 @@ fn machine_setup(args: &Parsed) -> Result<(ProcessorParams, MachineConfig), Stri
 /// [--sample S --warmup W --period P] [machine flags]`
 ///
 /// A full profile goes through the artifact store's corpus path (paged
-/// replay plus a memoized pre-decoded sidecar, persisted when
-/// `FOSM_CACHE_DIR` is set); a sampled one runs the collector directly
-/// on a paged replay of the file.
+/// replay, the resulting profiles persisted when `FOSM_CACHE_DIR` is
+/// set); a sampled one runs the collector directly on a paged replay of
+/// the file.
 pub fn profile(args: Parsed) -> Result<(), String> {
     let path = args.positional(0, "trace file")?;
     let (params, config) = machine_setup(&args)?;

@@ -182,8 +182,8 @@ SERVE FLAGS (fosm serve — model-as-a-service daemon):
                       memoized profiles are answered at once
     --port-file P     write the bound address to P
     --no-telemetry    disable per-request histograms + flight recorder
-    Set FOSM_CACHE_DIR to persist trace/profile artifacts on disk
-    across restarts (FOSM_CACHE_MAX_BYTES caps the cache size).
+    Set FOSM_CACHE_DIR to persist profiles on disk across restarts
+    (FOSM_CACHE_MAX_BYTES caps the cache size in bytes).
     FOSM_FLIGHT_CAP sets the flight-recorder ring size (default 256).
 
 TOP FLAGS (fosm top — live daemon telemetry):

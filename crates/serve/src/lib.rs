@@ -29,9 +29,11 @@
 //!   bounded flight recorder behind `Request::Telemetry` / `fosm top`.
 //!
 //! Durability across restarts comes from `fosm-bench`'s disk-backed
-//! artifact store; per-request observability comes from `fosm-obs`
-//! scoped registries. This crate adds no new model code — it is purely
-//! a concurrency and transport layer over the existing pipeline.
+//! artifact store, which persists profiles (traces are regenerated
+//! from their spec, length and seed); per-request observability comes
+//! from `fosm-obs` scoped registries. This crate adds no new model
+//! code — it is purely a concurrency and transport layer over the
+//! existing pipeline.
 
 #![forbid(unsafe_code)]
 

@@ -16,8 +16,6 @@
 //!   trace format (`FOSMTRC1`): versioned, checksummed files with a
 //!   chunk-paged replay cursor whose resident memory is O(page), not
 //!   O(trace),
-//! * [`DecodedTrace`] — the pre-decoded replay sidecar (op, FU class,
-//!   latency, registers resolved once, replayed many times),
 //! * [`TraceStats`] — one-pass statistics over a trace (instruction
 //!   mix, branch demographics, register dependence distances),
 //! * adapters such as [`Take`] for bounding a stream,
@@ -46,7 +44,6 @@ mod adapters;
 pub mod corpus;
 mod packed;
 mod sampling;
-pub mod sidecar;
 mod slice_trace;
 mod source;
 mod stats;
@@ -58,9 +55,6 @@ pub use corpus::{
 };
 pub use packed::{PackedReplay, PackedTrace};
 pub use sampling::Sampler;
-pub use sidecar::{
-    DecodedInst, DecodedReplay, DecodedTrace, DF_BRANCH, DF_COND, DF_LOAD, DF_STORE, DF_TAKEN,
-};
 pub use slice_trace::SliceTrace;
 pub use source::TraceSource;
 pub use stats::{DependenceHistogram, TraceStats};

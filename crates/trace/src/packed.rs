@@ -1,7 +1,6 @@
 //! Packed structure-of-arrays trace storage.
 
 use fosm_isa::{BranchInfo, Inst, Op, Reg};
-use serde::{Deserialize, Serialize};
 
 use crate::TraceSource;
 
@@ -47,7 +46,7 @@ pub(crate) const NO_REG: u8 = 0xFF;
 /// assert_eq!(packed.len(), 2);
 /// assert_eq!(packed.replay().iter().collect::<Vec<_>>(), insts);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PackedTrace {
     pcs: Vec<u64>,
     ops: Vec<u8>,
@@ -350,13 +349,5 @@ mod tests {
         bad.mem_addr = None;
         let mut t = PackedTrace::new();
         t.push(bad);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let packed = PackedTrace::from_insts(&sample());
-        let json = serde_json::to_string(&packed).expect("serializes");
-        let back: PackedTrace = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back, packed);
     }
 }

@@ -379,7 +379,7 @@ pub struct CorpusCase {
 /// Runs one corpus-file validation case: the same five simulator
 /// variants and five matched profiles as [`run_case`], but sourced
 /// from an on-disk corpus through the store's corpus paths (paged
-/// replay plus the memoized pre-decoded sidecar). The miss-event diff
+/// replay of the file). The miss-event diff
 /// is omitted — the traced-run harness is workload-keyed — so
 /// `event_diff` is empty and the case is named after the file stem.
 ///
@@ -582,7 +582,7 @@ mod tests {
     fn corpus_case_matches_the_workload_case_on_the_same_stream() {
         // A corpus written from the workload's recorded trace must
         // validate to bit-identical component rows: the file round
-        // trip and the sidecar replay are both exact.
+        // trip and the paged replay are both exact.
         let case = CaseSpec {
             config: MachineConfig::baseline(),
             bench: BenchmarkSpec::gzip(),

@@ -7,12 +7,11 @@
 #   2. corrupt — flipping one data byte makes `corpus verify` fail
 #                (section checksums cover every payload byte);
 #   3. cold    — profiling straight from the corpus file pages the
-#                trace (nonzero corpus.pages) and builds the
-#                pre-decoded sidecar (corpus.sidecar_build);
+#                trace (nonzero corpus.pages);
 #   4. warm    — a second process re-profiles byte-identically from
-#                the disk cache, and a new machine config replays the
-#                memoized sidecar (nonzero corpus.sidecar_hit)
-#                instead of re-decoding the corpus;
+#                the disk cache, a new machine config pages the file
+#                again (nonzero corpus.pages), and the cache holds
+#                nothing but profile entries;
 #   5. sweep   — `fosm validate --corpus` shards both files across
 #                workers and passes the tuned tolerance bands.
 #
@@ -63,8 +62,6 @@ fi
   --metrics "$WORK/m-cold.json"
 require_counter "corpus\.pages" "$WORK/m-cold.json" \
   "cold corpus profile never paged the trace"
-require_counter "corpus\.sidecar_build" "$WORK/m-cold.json" \
-  "cold corpus profile never built the pre-decoded sidecar"
 
 # --- leg 4: warm re-profile through the disk cache ------------------
 "$FOSM" profile "$WORK/gzip.fct" -o "$WORK/p-warm.json" \
@@ -73,12 +70,18 @@ cmp "$WORK/p-cold.json" "$WORK/p-warm.json"
 require_counter "store\.disk_hit" "$WORK/m-warm.json" \
   "warm corpus re-profile never hit the disk cache"
 
-# A new machine config misses the memoized profile but must replay the
-# persisted sidecar rather than re-decode the corpus from scratch.
+# A new machine config misses the memoized profile and pages the file
+# again: the trace itself is never cached.
 "$FOSM" profile "$WORK/gzip.fct" --width 8 -o "$WORK/p-w8.json" \
   --metrics "$WORK/m-w8.json"
-require_counter "corpus\.sidecar_hit" "$WORK/m-w8.json" \
-  "re-profile under a new config never hit the memoized sidecar"
+require_counter "corpus\.pages" "$WORK/m-w8.json" \
+  "re-profile under a new config never paged the trace"
+kinds="$(ls "$FOSM_CACHE_DIR")"
+if [ "$kinds" != "profile" ]; then
+  echo "disk cache holds more than profiles:" >&2
+  echo "$kinds" >&2
+  exit 1
+fi
 
 # --- leg 5: validation sweep sharded over corpus files --------------
 "$FOSM" validate --corpus "$WORK/gzip.fct,$WORK/gcc.fct" --threads 2 --check
