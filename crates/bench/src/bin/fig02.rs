@@ -17,7 +17,6 @@ fn main() {
     let args = harness::run_args();
     let _obs = harness::obs_session("fig02", &args);
     let n = args.trace_len;
-    let verbose = std::env::args().any(|a| a == "-v");
     let config = MachineConfig::baseline();
     let params = harness::params_of(&config);
 
@@ -26,7 +25,7 @@ fn main() {
         "{:<8} {:>9} {:>12} {:>7}",
         "bench", "combined", "independent", "err%"
     );
-    if verbose {
+    if args.verbose {
         println!(
             "{:>30}   [sim adders vs model: ideal | branch | icache | dcache]",
             ""
@@ -57,7 +56,7 @@ fn main() {
         );
         pairs.push((combined_ipc, independent_ipc));
 
-        if verbose {
+        if args.verbose {
             let inst = real.instructions as f64;
             let profile = harness::profile(&params, &spec.name, &trace);
             let est = harness::estimate(&params, &profile);

@@ -31,16 +31,18 @@ pub struct RunArgs {
     /// Miss-event trace destination (`--trace <path>`); beats the
     /// `FOSM_TRACE` environment variable when present.
     pub trace: Option<String>,
+    /// Extra diagnostic output (`-v`), for the binaries that have any.
+    pub verbose: bool,
 }
 
 /// Parses the standard figure-binary command line:
 ///
 /// ```text
-/// <binary> [TRACE_LEN] [--threads N] [--metrics <path>] [--trace <path>]
+/// <binary> [TRACE_LEN] [--threads N] [--metrics <path>] [--trace <path>] [-v]
 /// ```
 ///
-/// Unrecognized arguments are ignored, so individual binaries can
-/// layer extra flags on top.
+/// Anything else, or a value that does not parse, prints the error and
+/// exits with status 2.
 pub fn run_args() -> RunArgs {
     run_args_with_default(DEFAULT_TRACE_LEN)
 }
@@ -52,44 +54,83 @@ pub fn run_args_with_default(default_len: u64) -> RunArgs {
         std::env::var("FOSM_THREADS").ok(),
         default_len,
     )
+    .unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 fn parse_args(
-    args: impl Iterator<Item = String>,
+    mut args: impl Iterator<Item = String>,
     threads_env: Option<String>,
     default_len: u64,
-) -> RunArgs {
-    let mut trace_len = default_len;
+) -> Result<RunArgs, String> {
+    let mut trace_len = None;
     let mut threads: Option<usize> = None;
     let mut metrics: Option<String> = None;
     let mut trace: Option<String> = None;
-    let mut args = args.peekable();
+    let mut verbose = false;
     while let Some(arg) = args.next() {
-        if let Some(value) = arg.strip_prefix("--threads=") {
-            threads = value.parse().ok();
-        } else if arg == "--threads" {
-            threads = args.next().and_then(|v| v.parse().ok());
-        } else if let Some(value) = arg.strip_prefix("--metrics=") {
-            metrics = Some(value.to_string());
-        } else if arg == "--metrics" {
-            metrics = args.next();
-        } else if let Some(value) = arg.strip_prefix("--trace=") {
-            trace = Some(value.to_string());
-        } else if arg == "--trace" {
-            trace = args.next();
-        } else if let Ok(n) = arg.parse() {
-            trace_len = n;
+        let (name, inline) = match arg.split_once('=') {
+            Some((name, value)) if name.starts_with("--") => (name, Some(value.to_string())),
+            _ => (arg.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next().filter(|v| !v.starts_with("--")))
+                .ok_or_else(|| format!("{name} needs a value"))
+        };
+        match name {
+            "--threads" => {
+                let raw = value()?;
+                let n = raw
+                    .parse()
+                    .map_err(|e| format!("bad --threads `{raw}`: {e}"))?;
+                threads = Some(n);
+            }
+            "--metrics" => metrics = Some(value()?),
+            "--trace" => trace = Some(value()?),
+            "-v" => verbose = true,
+            _ if trace_len.is_none() && !name.starts_with('-') => {
+                let n = name
+                    .parse()
+                    .map_err(|e| format!("bad TRACE_LEN `{name}`: {e}"))?;
+                trace_len = Some(n);
+            }
+            _ => {
+                return Err(format!(
+                    "unexpected argument `{arg}` (usage: [TRACE_LEN] [--threads N] \
+                     [--metrics <path>] [--trace <path>] [-v])"
+                ))
+            }
         }
     }
     let threads = threads
-        .or_else(|| threads_env.and_then(|v| v.parse().ok()))
+        .or_else(|| threads_from_env(threads_env.filter(|v| !v.trim().is_empty())?))
         .unwrap_or_else(crate::par::available_threads)
         .max(1);
-    RunArgs {
-        trace_len,
+    Ok(RunArgs {
+        trace_len: trace_len.unwrap_or(default_len),
         threads,
         metrics,
         trace,
+        verbose,
+    })
+}
+
+/// Parses a `FOSM_THREADS` value; a malformed one is reported on
+/// stderr (once per process) and ignored.
+fn threads_from_env(raw: String) -> Option<usize> {
+    static WARNED: std::sync::Once = std::sync::Once::new();
+    match raw.trim().parse() {
+        Ok(n) => Some(n),
+        Err(e) => {
+            WARNED.call_once(|| {
+                eprintln!("warning: ignoring FOSM_THREADS (`{raw}`: {e}); using all cores");
+            });
+            None
+        }
     }
 }
 
@@ -352,13 +393,14 @@ mod tests {
 
     #[test]
     fn arg_parsing_variants() {
-        let parse = |args: &[&str], env: Option<&str>| {
+        let try_parse = |args: &[&str], env: Option<&str>| {
             parse_args(
                 args.iter().map(|s| s.to_string()),
                 env.map(String::from),
                 DEFAULT_TRACE_LEN,
             )
         };
+        let parse = |args: &[&str], env: Option<&str>| try_parse(args, env).unwrap();
         assert_eq!(parse(&[], None).trace_len, DEFAULT_TRACE_LEN);
         assert_eq!(parse(&["12345"], None).trace_len, 12_345);
         assert_eq!(parse(&["--threads", "3"], None).threads, 3);
@@ -369,6 +411,7 @@ mod tests {
                 threads: 5,
                 metrics: None,
                 trace: None,
+                verbose: false,
             }
         );
         assert_eq!(
@@ -382,6 +425,7 @@ mod tests {
                 threads: parse(&[], None).threads,
                 metrics: Some("m.json".to_string()),
                 trace: None,
+                verbose: false,
             }
         );
         assert_eq!(
@@ -397,8 +441,24 @@ mod tests {
         assert_eq!(parse(&[], Some("9")).threads, 9);
         // Degenerate values clamp to one worker.
         assert_eq!(parse(&["--threads", "0"], None).threads, 1);
-        // Unknown flags are ignored.
-        assert_eq!(parse(&["--verbose", "400"], None).trace_len, 400);
+        // An empty or malformed environment value falls back to detection.
+        assert_eq!(parse(&[], Some("banana")).threads, parse(&[], None).threads);
+        assert_eq!(parse(&[], Some(" ")).threads, parse(&[], None).threads);
+        assert!(parse(&["-v", "400"], None).verbose);
+        // Unknown flags, unparsable values and missing values are errors
+        // that name the argument.
+        for (args, needle) in [
+            (&["--verbose", "400"][..], "`--verbose`"),
+            (&["8k"], "TRACE_LEN `8k`"),
+            (&["400", "500"], "`500`"),
+            (&["--threads", "banana"], "--threads `banana`"),
+            (&["--threads=x"], "--threads `x`"),
+            (&["--metrics"], "--metrics needs a value"),
+            (&["--trace", "--threads", "2"], "--trace needs a value"),
+        ] {
+            let err = try_parse(args, None).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
     }
 
     #[test]

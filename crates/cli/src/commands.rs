@@ -26,12 +26,12 @@ fn machine_params(args: &Parsed) -> Result<ProcessorParams, String> {
 
 /// Shared extension flags: `--prefetch N`, `--tlb ENTRIES`.
 fn hierarchy_from(args: &Parsed) -> Result<HierarchyConfig, String> {
-    let prefetch: u32 = args.flag_or("prefetch", 0u32)?;
+    let prefetch: u32 = args.get("prefetch")?.unwrap_or(0u32);
     Ok(HierarchyConfig::baseline().with_next_line_prefetch(prefetch))
 }
 
 fn tlb_from(args: &Parsed) -> Result<Option<TlbConfig>, String> {
-    match args.flag_or("tlb", 0u32)? {
+    match args.get("tlb")?.unwrap_or(0u32) {
         0 => Ok(None),
         entries => {
             let tlb = TlbConfig {
@@ -44,15 +44,13 @@ fn tlb_from(args: &Parsed) -> Result<Option<TlbConfig>, String> {
     }
 }
 
-/// `fosm record --bench <name> [--insts N] [--seed S] -o <trace.fct>`
-///
-/// Writes a `FOSMTRC1` trace file (see DESIGN.md for the format): the
-/// one on-disk trace format every other command reads.
+/// `fosm record`: writes a `FOSMTRC1` trace file (see DESIGN.md for
+/// the format), the one on-disk trace format every other command reads.
 pub fn record(args: Parsed) -> Result<(), String> {
     let bench = args.flag("bench").ok_or("--bench <name> is required")?;
     let spec = find_benchmark(bench)?;
-    let insts: u64 = args.flag_or("insts", 500_000u64)?;
-    let seed: u64 = args.flag_or("seed", 42u64)?;
+    let insts: u64 = args.get("insts")?.unwrap_or(500_000u64);
+    let seed: u64 = args.get("seed")?.unwrap_or(42u64);
     let out = args.flag("out").ok_or("-o <trace.fct> is required")?;
 
     let mut generator = WorkloadGenerator::new(&spec, seed);
@@ -91,21 +89,8 @@ fn with_replay<T>(
     }
 }
 
-/// `fosm corpus <info|verify> <trace.fct>` — inspect or re-checksum a
-/// trace file.
-pub fn corpus(args: Parsed) -> Result<(), String> {
-    match args.positional(0, "corpus subcommand (info or verify)")? {
-        "info" => corpus_info(&args),
-        "verify" => corpus_verify(&args),
-        other => Err(format!(
-            "unknown corpus subcommand `{other}` (expected info or verify)"
-        )),
-    }
-}
-
-/// `fosm corpus info <trace.fct>`
-fn corpus_info(args: &Parsed) -> Result<(), String> {
-    let path = args.positional(1, "trace file")?;
+pub fn corpus_info(args: Parsed) -> Result<(), String> {
+    let path = args.positional(0);
     let corpus = open_trace(path)?;
     println!(
         "{path}: {} instructions ({} mem records, {} branch records)",
@@ -130,10 +115,10 @@ fn corpus_info(args: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `fosm corpus verify <trace.fct>` — re-reads every section and
-/// checks its checksum; exits non-zero on any corruption.
-fn corpus_verify(args: &Parsed) -> Result<(), String> {
-    let path = args.positional(1, "trace file")?;
+/// `fosm corpus verify`: re-reads every section and checks its
+/// checksum; exits non-zero on any corruption.
+pub fn corpus_verify(args: Parsed) -> Result<(), String> {
+    let path = args.positional(0);
     let corpus = open_trace(path)?;
     corpus.verify().map_err(|e| format!("{path}: {e}"))?;
     println!(
@@ -144,9 +129,8 @@ fn corpus_verify(args: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `fosm stats <trace.fct>`
 pub fn stats(args: Parsed) -> Result<(), String> {
-    let path = args.positional(0, "trace file")?;
+    let path = args.positional(0);
     let corpus = open_trace(path)?;
     let stats = with_replay(path, &corpus, |replay| {
         TraceStats::from_source(replay, usize::MAX)
@@ -170,20 +154,6 @@ pub fn stats(args: Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// The systematic sampling plan from `--sample/--warmup/--period`, or
-/// `None` when `--sample` was not given.
-fn sampling_plan_from(args: &Parsed) -> Result<Option<SamplingPlan>, String> {
-    let Some(sample) = args.flag("sample") else {
-        return Ok(None);
-    };
-    let sample: u64 = sample.parse().map_err(|e| format!("bad --sample: {e}"))?;
-    Ok(Some(SamplingPlan {
-        sample,
-        warmup: args.flag_or("warmup", 0u64)?,
-        period: args.flag_or("period", 10 * sample)?,
-    }))
-}
-
 /// Parses the per-invocation machine setup (params plus the full
 /// machine with the `--prefetch`/`--tlb` extensions) exactly once; every
 /// `--probes` variant derives from this single parse. The counter lets
@@ -199,36 +169,34 @@ fn machine_setup(args: &Parsed) -> Result<(ProcessorParams, MachineConfig), Stri
     Ok((params, config))
 }
 
-/// `fosm profile <trace.fct> [-o out.json] [--probes LIST]
-/// [--sample S --warmup W --period P] [machine flags]`
-///
-/// A full profile goes through the artifact store's corpus path (paged
-/// replay, the resulting profiles persisted when `FOSM_CACHE_DIR` is
-/// set); a sampled one runs the collector directly on a paged replay of
-/// the file.
+/// `fosm profile`: a full profile goes through the artifact store's
+/// corpus path (paged replay, the resulting profiles persisted when
+/// `FOSM_CACHE_DIR` is set); a sampled one runs the collector directly
+/// on a paged replay of the file.
 pub fn profile(args: Parsed) -> Result<(), String> {
-    let path = args.positional(0, "trace file")?;
+    let path = args.positional(0);
     let (params, config) = machine_setup(&args)?;
-    let plan = sampling_plan_from(&args)?;
+    let plan = match args.get::<u64>("sample")? {
+        Some(sample) => Some(SamplingPlan {
+            sample,
+            warmup: args.get("warmup")?.unwrap_or(0),
+            period: args.get("period")?.unwrap_or(10 * sample),
+        }),
+        None => None,
+    };
     let corpus = open_trace(path)?;
 
-    let bank: ProbeBank = match args.flag("probes") {
-        // One fused replay profiles every requested simulation set at
-        // once.
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                let name = name.trim();
-                let set = SimulationSet::parse(name)?;
-                Ok(probe_of(
-                    &config.simulation_set(set),
-                    format!("{path}:{name}"),
-                ))
-            })
-            .collect::<Result<Vec<Probe>, String>>()?
-            .into(),
-        None => ProbeBank::from(vec![probe_of(&config, path)]),
+    // One fused replay profiles every requested simulation set at once.
+    let probe = |name: &str| -> Result<Probe, String> {
+        let set = SimulationSet::parse(name)?;
+        Ok(probe_of(
+            &config.simulation_set(set),
+            format!("{path}:{name}"),
+        ))
     };
+    let bank: ProbeBank = args
+        .list("probes", vec![probe_of(&config, path)], probe)?
+        .into();
     let profiles: Vec<Arc<ProgramProfile>> = match plan {
         None => fosm_bench::store::ArtifactStore::global()
             .profile_many_corpus(&params, &bank, &corpus)
@@ -284,9 +252,8 @@ fn write_json<T: serde::Serialize + ?Sized>(out: Option<&str>, value: &T) -> Res
     }
 }
 
-/// `fosm model <profile.json> [machine flags]`
 pub fn model(args: Parsed) -> Result<(), String> {
-    let path = args.positional(0, "profile file")?;
+    let path = args.positional(0);
     let params = machine_params(&args)?;
     let profile: ProgramProfile =
         serde_json::from_reader(open_in(path)?).map_err(|e| format!("{path}: {e}"))?;
@@ -297,9 +264,8 @@ pub fn model(args: Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `fosm simulate <trace.fct> [machine flags] [--ideal]`
 pub fn simulate(args: Parsed) -> Result<(), String> {
-    let path = args.positional(0, "trace file")?;
+    let path = args.positional(0);
     let mut config = config_of(&machine_params(&args)?);
     if args.has("ideal") {
         config = config.simulation_set(SimulationSet::Ideal);
@@ -309,12 +275,12 @@ pub fn simulate(args: Parsed) -> Result<(), String> {
     if let Some(tlb) = tlb_from(&args)? {
         config = config.with_dtlb(tlb);
     }
-    match args.flag_or("clusters", 0u32)? {
+    match args.get("clusters")?.unwrap_or(0u32) {
         0 | 1 => {}
         clusters => {
             config = config.with_clusters(ClusterConfig {
                 clusters,
-                forward_delay: args.flag_or("forward", 1u32)?,
+                forward_delay: args.get("forward")?.unwrap_or(1u32),
                 steering: Steering::Dependence,
             });
         }
@@ -322,8 +288,7 @@ pub fn simulate(args: Parsed) -> Result<(), String> {
     if args.has("fu") {
         config = config.with_fu_limits(FuPool::alpha_like());
     }
-    if let Some(buffer) = args.flag("buffer") {
-        let entries: u32 = buffer.parse().map_err(|e| format!("bad --buffer: {e}"))?;
+    if let Some(entries) = args.get::<u32>("buffer")? {
         let bandwidth = 2 * config.width.max(4);
         config = config.with_fetch_buffer(FetchBufferConfig { entries, bandwidth });
     }
@@ -352,8 +317,7 @@ pub fn simulate(args: Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `fosm bench-list`
-pub fn bench_list() -> Result<(), String> {
+pub fn bench_list(_: Parsed) -> Result<(), String> {
     println!("built-in synthetic benchmarks (SPECint2000-like):");
     for spec in BenchmarkSpec::all() {
         println!(
@@ -384,57 +348,52 @@ fn tolerance_from(args: &Parsed) -> Result<ToleranceSpec, String> {
     }
 }
 
-/// `fosm validate [--insts N] [--seed S] [--threads N] [--bench name]
-/// [--tol overrides] [--baseline tolerances.json] [--check]
-/// [--report out.json] [--statsim] [--fuzz N] [--fuzz-seed S]
-/// [machine flags]`
-///
-/// Runs the differential validation harness: the analytical model, the
-/// detailed simulator's idealization variants, and (with `--statsim`)
-/// the statistical simulator on identical inputs, gating each CPI
-/// component against tolerance bands. `--check` turns violations into
-/// a non-zero exit (the CI accuracy gate); `--fuzz N` runs the
-/// differential fuzzer for `N` random machines instead of the sweep.
+/// `fosm validate`: runs the differential validation harness, the
+/// analytical model against the detailed simulator's idealization
+/// variants on identical inputs, gating each CPI component against
+/// tolerance bands.
 pub fn validate(args: Parsed) -> Result<(), String> {
     let params = machine_params(&args)?;
     let config = config_of(&params);
     config.validate()?;
-    let insts: u64 = args.flag_or("insts", 120_000u64)?;
-    let seed: u64 = args.flag_or("seed", 42u64)?;
+    let insts: u64 = args.get("insts")?.unwrap_or(120_000u64);
+    let seed: u64 = args.get("seed")?.unwrap_or(42u64);
     let threads: usize = args
-        .flag_or("threads", fosm_bench::par::available_threads())?
+        .get("threads")?
+        .unwrap_or_else(fosm_bench::par::available_threads)
         .max(1);
     let store = fosm_bench::store::ArtifactStore::global();
+    // `--fuzz-repro` replays one fuzz case, as a failing fuzz run
+    // prints it.
     if let Some(json) = args.flag("fuzz-repro") {
-        return fuzz_repro(store, json, insts);
+        let case: fosm_validate::FuzzCase =
+            serde_json::from_str(json).map_err(|e| format!("malformed fuzz case: {e}"))?;
+        fosm_validate::fuzz::check(store, &case, insts, &ToleranceSpec::fuzz())
+            .map_err(|reason| format!("case fails: {reason}"))?;
+        println!("case passes all invariants: {case:?}");
+        return Ok(());
     }
 
-    if let Some(fuzz_cases) = args.flag("fuzz") {
-        let cases: u64 = fuzz_cases.parse().map_err(|e| format!("bad --fuzz: {e}"))?;
-        let mut fuzz_tol = ToleranceSpec::fuzz();
-        if let Some(overrides) = args.flag("tol") {
-            fuzz_tol.apply_overrides(overrides)?;
-        }
-        return run_fuzz(store, &args, cases, insts, fuzz_tol);
-    }
-
-    // Tolerances: the committed baseline file (or the built-in gate),
-    // then ad-hoc `--tol` overrides on top. Loaded after the fuzz
-    // early-returns so those paths never pay for (or fail on) a
-    // baseline parse they do not use.
-    let mut tol = tolerance_from(&args)?;
+    // Tolerances: the fuzzer's, or the committed baseline file (or the
+    // built-in gate), then ad-hoc `--tol` overrides on top. A fuzz run
+    // never pays for (or fails on) a baseline parse it does not use.
+    let fuzz: Option<u64> = args.get("fuzz")?;
+    let mut tol = match fuzz {
+        Some(_) => ToleranceSpec::fuzz(),
+        None => tolerance_from(&args)?,
+    };
     if let Some(overrides) = args.flag("tol") {
         tol.apply_overrides(overrides)?;
+    }
+    if let Some(cases) = fuzz {
+        return run_fuzz(store, &args, cases, insts, tol);
     }
 
     // Corpus-file workloads: validate each listed `FOSMTRC1` file
     // against the same machine configuration, sharded across the same
     // worker pool as the synthetic sweep.
-    if let Some(list) = args.flag("corpus") {
-        let paths: Vec<std::path::PathBuf> = list
-            .split(',')
-            .map(|s| std::path::PathBuf::from(s.trim()))
-            .collect();
+    if args.has("corpus") {
+        let paths = args.list("corpus", vec![], str::parse::<std::path::PathBuf>)?;
         let results =
             fosm_validate::differential::corpus_sweep(store, &config, &paths, &tol, threads)
                 .map_err(|e| format!("corpus validation sweep failed: {e}"))?;
@@ -512,7 +471,7 @@ fn run_fuzz(
     insts: u64,
     tol: ToleranceSpec,
 ) -> Result<(), String> {
-    let fuzz_seed: u64 = args.flag_or("fuzz-seed", 0xF05Au64)?;
+    let fuzz_seed: u64 = args.get("fuzz-seed")?.unwrap_or(0xF05Au64);
     println!(
         "fuzzing {cases} random machine/workload draws ({insts} insts each, seed {fuzz_seed:#x})"
     );
@@ -537,43 +496,19 @@ fn run_fuzz(
     }
 }
 
-/// `fosm validate --fuzz-repro '<json>'` support: replays one fuzz
-/// case (as printed by a failing fuzz run) and reports its status.
-fn fuzz_repro(
-    store: &fosm_bench::store::ArtifactStore,
-    json: &str,
-    insts: u64,
-) -> Result<(), String> {
-    let case: fosm_validate::FuzzCase =
-        serde_json::from_str(json).map_err(|e| format!("malformed fuzz case: {e}"))?;
-    let tol = ToleranceSpec::fuzz();
-    match fosm_validate::fuzz::check(store, &case, insts, &tol) {
-        Ok(()) => {
-            println!("case passes all invariants: {case:?}");
-            Ok(())
-        }
-        Err(reason) => Err(format!("case fails: {reason}")),
-    }
-}
-
-/// `fosm trace <bench> [--insts N] [--seed S] [--top K]
-/// [--chrome <out.json>] [machine flags]`
-///
-/// Runs the detailed simulator with event tracing on one synthetic
-/// workload, prices every traced miss event with the analytical
-/// model's per-event penalties, and prints the per-class error
-/// histogram plus a top-K table of worst-attributed events. With
-/// `--chrome`, also writes the annotated event stream as Chrome
-/// trace-event JSON (loadable in Perfetto / `about://tracing`).
+/// `fosm trace`: runs the detailed simulator with event tracing on one
+/// synthetic workload, prices every traced miss event with the
+/// analytical model's per-event penalties, and prints the per-class
+/// error histogram plus a top-K table of worst-attributed events.
 pub fn trace(args: Parsed) -> Result<(), String> {
-    let bench = args.positional(0, "benchmark name (see `fosm bench-list`)")?;
+    let bench = args.positional(0);
     let spec = find_benchmark(bench)?;
     let params = machine_params(&args)?;
     let config = config_of(&params);
     config.validate()?;
-    let insts: u64 = args.flag_or("insts", 120_000u64)?;
-    let seed: u64 = args.flag_or("seed", 42u64)?;
-    let top: usize = args.flag_or("top", 10usize)?;
+    let insts: u64 = args.get("insts")?.unwrap_or(120_000u64);
+    let seed: u64 = args.get("seed")?.unwrap_or(42u64);
+    let top: usize = args.get("top")?.unwrap_or(10usize);
 
     let trace = fosm_bench::harness::record_seeded(&spec, insts, seed);
     let (report, events) = fosm_bench::harness::simulate_traced(&config, &trace);
@@ -658,97 +593,51 @@ pub fn trace(args: Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// `fosm metrics diff <a.json> <b.json> [--max-regress PCT]`
-///
-/// Compares two run manifests written via `--metrics`/`FOSM_METRICS`:
-/// counter deltas, gauge deltas, span `total_ns` ratios, and histogram
-/// summaries (`count`/`p50`/`p99` per histogram). With `--max-regress`,
-/// exits non-zero when any counter, span timing, or histogram quantile
-/// grew by more than the given percentage (gauges and histogram counts
-/// are informational).
-pub fn metrics(args: Parsed) -> Result<(), String> {
-    match args.positional(0, "metrics subcommand (try `diff`)")? {
-        "diff" => metrics_diff(&args),
-        other => Err(format!("unknown metrics subcommand `{other}` (try `diff`)")),
-    }
-}
-
-fn metrics_diff(args: &Parsed) -> Result<(), String> {
-    let path_a = args.positional(1, "first manifest (a.json)")?;
-    let path_b = args.positional(2, "second manifest (b.json)")?;
-    let a = load_manifest(path_a)?;
-    let b = load_manifest(path_b)?;
-    let max_regress: Option<f64> = match args.flag("max-regress") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|e| format!("bad value for --max-regress: {e}"))?,
-        ),
-        None => None,
-    };
+/// `fosm metrics diff`: compares two run manifests written via
+/// `--metrics`/`FOSM_METRICS`: counter deltas, gauge deltas, span
+/// `total_ns` ratios, and histogram summaries (`count`/`p50`/`p99` per
+/// histogram). Growth beyond `--max-regress` in a counter, span timing
+/// or histogram quantile fails the run; gauges and histogram counts are
+/// informational (serving more requests is not slower).
+pub fn metrics_diff(args: Parsed) -> Result<(), String> {
+    let a = load_manifest(args.positional(0))?;
+    let b = load_manifest(args.positional(1))?;
+    let max_regress: Option<f64> = args.get("max-regress")?;
 
     let mut regressions: Vec<String> = Vec::new();
     let mut changed = 0usize;
-    for (section, gated) in [("counters", true), ("gauges", false)] {
-        let rows = merged_numbers(num_map(&a, section), num_map(&b, section));
-        if rows.is_empty() {
-            continue;
+    for (section, heading, fields) in [
+        ("counters", "counters:", &[][..]),
+        ("gauges", "gauges:", &[]),
+        ("spans", "spans (total_ns):", &["total_ns"]),
+        ("hists", "hists (count/p50/p99):", &["count", "p50", "p99"]),
+    ] {
+        let rows = merged_numbers(numbers(&a, section, fields), numbers(&b, section, fields));
+        if !rows.is_empty() {
+            println!("{heading}");
         }
-        println!("{section}:");
-        for (key, va, vb) in rows {
-            if va == vb {
-                continue;
-            }
+        for (key, va, vb) in rows.into_iter().filter(|(_, va, vb)| va != vb) {
             changed += 1;
             let pct = if va != 0.0 {
                 100.0 * (vb - va) / va
             } else {
                 f64::INFINITY
             };
-            println!("  {key:<40} {va:>14} -> {vb:<14} ({pct:+.1}%)");
+            let ratio = match section {
+                "spans" => format!(" (x{:.2})", if va != 0.0 { vb / va } else { f64::INFINITY }),
+                _ => String::new(),
+            };
+            match section {
+                "spans" => println!("  {key:<40} {va:>14} -> {vb:<14}{ratio}"),
+                _ => println!("  {key:<40} {va:>14} -> {vb:<14} ({pct:+.1}%)"),
+            }
+            let gated = match section {
+                "gauges" => false,
+                "hists" => key.ends_with(".p50") || key.ends_with(".p99"),
+                _ => true,
+            };
             if gated && vb > va && exceeds(pct, max_regress) {
-                regressions.push(format!("{section}.{key} grew {pct:+.1}%"));
-            }
-        }
-    }
-    let rows = merged_numbers(span_totals(&a), span_totals(&b));
-    if !rows.is_empty() {
-        println!("spans (total_ns):");
-        for (key, va, vb) in rows {
-            if va == vb {
-                continue;
-            }
-            changed += 1;
-            let pct = if va != 0.0 {
-                100.0 * (vb - va) / va
-            } else {
-                f64::INFINITY
-            };
-            let ratio = if va != 0.0 { vb / va } else { f64::INFINITY };
-            println!("  {key:<40} {va:>14} -> {vb:<14} (x{ratio:.2})");
-            if vb > va && exceeds(pct, max_regress) {
-                regressions.push(format!("spans.{key} grew {pct:+.1}% (x{ratio:.2})"));
-            }
-        }
-    }
-    let rows = merged_numbers(hist_summaries(&a), hist_summaries(&b));
-    if !rows.is_empty() {
-        println!("hists (count/p50/p99):");
-        for (key, va, vb) in rows {
-            if va == vb {
-                continue;
-            }
-            changed += 1;
-            let pct = if va != 0.0 {
-                100.0 * (vb - va) / va
-            } else {
-                f64::INFINITY
-            };
-            println!("  {key:<40} {va:>14} -> {vb:<14} ({pct:+.1}%)");
-            // Quantile growth is a latency regression; counts are
-            // informational (serving more requests is not slower).
-            let gated = key.ends_with(".p50") || key.ends_with(".p99");
-            if gated && vb > va && exceeds(pct, max_regress) {
-                regressions.push(format!("hists.{key} grew {pct:+.1}%"));
+                regressions.push(format!("{section}.{key} grew {pct:+.1}%{ratio}"));
             }
         }
     }
@@ -784,47 +673,28 @@ fn load_manifest(path: &str) -> Result<serde::Value, String> {
     serde_json::from_str(line).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Flattens a `"counters"`/`"gauges"`-style object of numbers.
-fn num_map(manifest: &serde::Value, section: &str) -> Vec<(String, f64)> {
+/// Flattens one manifest section into `(key, number)` rows: with no
+/// `fields`, the section's own numbers (`counters`, `gauges`); with one
+/// field, that field of each entry (`spans`' `total_ns`); with several,
+/// each of them, keyed `{entry}.{field}` (`hists`' summaries).
+fn numbers(manifest: &serde::Value, section: &str, fields: &[&str]) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    if let Some(serde::Value::Map(entries)) = manifest.get(section) {
-        for (key, value) in entries {
-            if let serde::Value::Num(raw) = value {
+    let Some(serde::Value::Map(entries)) = manifest.get(section) else {
+        return out;
+    };
+    for (key, value) in entries {
+        let cells: Vec<(String, Option<&serde::Value>)> = match fields {
+            [] => vec![(key.clone(), Some(value))],
+            [field] => vec![(key.clone(), value.get(field))],
+            _ => fields
+                .iter()
+                .map(|f| (format!("{key}.{f}"), value.get(f)))
+                .collect(),
+        };
+        for (name, cell) in cells {
+            if let Some(serde::Value::Num(raw)) = cell {
                 if let Ok(v) = raw.parse() {
-                    out.push((key.clone(), v));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Flattens each histogram in the `"hists"` section into its summary
-/// numbers, keyed `{name}.count` / `{name}.p50` / `{name}.p99`.
-fn hist_summaries(manifest: &serde::Value) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    if let Some(serde::Value::Map(entries)) = manifest.get("hists") {
-        for (key, value) in entries {
-            for field in ["count", "p50", "p99"] {
-                if let Some(serde::Value::Num(raw)) = value.get(field) {
-                    if let Ok(v) = raw.parse() {
-                        out.push((format!("{key}.{field}"), v));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Extracts each span's `total_ns` from the `"spans"` object.
-fn span_totals(manifest: &serde::Value) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    if let Some(serde::Value::Map(entries)) = manifest.get("spans") {
-        for (key, value) in entries {
-            if let Some(serde::Value::Num(raw)) = value.get("total_ns") {
-                if let Ok(v) = raw.parse() {
-                    out.push((key.clone(), v));
+                    out.push((name, v));
                 }
             }
         }
@@ -895,12 +765,12 @@ fn print_statsim_comparison(report: &fosm_validate::ValidationReport) {
 fn grid_from(args: &Parsed) -> Result<fosm_explore::MachineGrid, String> {
     let base = fosm_explore::MachineGrid::baseline_sweep();
     let grid = fosm_explore::MachineGrid {
-        widths: args.u32_list("widths", &base.widths)?,
-        win_sizes: args.u32_list("windows", &base.win_sizes)?,
-        rob_sizes: args.u32_list("robs", &base.rob_sizes)?,
-        pipe_depths: args.u32_list("depths", &base.pipe_depths)?,
-        l2_latencies: args.u32_list("l2s", &base.l2_latencies)?,
-        mem_latencies: args.u32_list("mems", &base.mem_latencies)?,
+        widths: args.list("widths", base.widths, str::parse)?,
+        win_sizes: args.list("windows", base.win_sizes, str::parse)?,
+        rob_sizes: args.list("robs", base.rob_sizes, str::parse)?,
+        pipe_depths: args.list("depths", base.pipe_depths, str::parse)?,
+        l2_latencies: args.list("l2s", base.l2_latencies, str::parse)?,
+        mem_latencies: args.list("mems", base.mem_latencies, str::parse)?,
     };
     grid.validate().map_err(|e| e.to_string())?;
     Ok(grid)
@@ -910,27 +780,11 @@ fn grid_from(args: &Parsed) -> Result<fosm_explore::MachineGrid, String> {
 /// `--predictors` labels) and validates them once.
 fn hardware_axes_from(args: &Parsed) -> Result<fosm_explore::HardwareAxes, String> {
     let base = fosm_explore::HardwareAxes::baseline_only();
-    let geometries = |name: &str,
-                      default: Vec<fosm_explore::CacheGeometry>|
-     -> Result<Vec<fosm_explore::CacheGeometry>, String> {
-        match args.flag(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .split(',')
-                .map(|s| fosm_explore::CacheGeometry::parse(s.trim()).map_err(|e| e.to_string()))
-                .collect(),
-        }
-    };
+    let geometry = fosm_explore::CacheGeometry::parse;
     let axes = fosm_explore::HardwareAxes {
-        icaches: geometries("icaches", base.icaches)?,
-        dcaches: geometries("dcaches", base.dcaches)?,
-        predictors: match args.flag("predictors") {
-            None => base.predictors,
-            Some(raw) => raw
-                .split(',')
-                .map(|s| fosm_explore::parse_predictor(s.trim()).map_err(|e| e.to_string()))
-                .collect::<Result<_, _>>()?,
-        },
+        icaches: args.list("icaches", base.icaches, geometry)?,
+        dcaches: args.list("dcaches", base.dcaches, geometry)?,
+        predictors: args.list("predictors", base.predictors, fosm_explore::parse_predictor)?,
     };
     axes.validate().map_err(|e| e.to_string())?;
     Ok(axes)
@@ -978,24 +832,20 @@ fn corner_config(
     Ok(config)
 }
 
-/// `fosm explore [--bench name|all] [--insts N] [--seed S] [--threads N]
-/// [--widths L] [--windows L] [--robs L] [--depths L] [--l2s L]
-/// [--mems L] [--icaches L] [--dcaches L] [--predictors L] [--top K]
-/// [--frontier] [--export out.{csv,json}] [--sim-check N]`
-///
-/// Sweeps the machine grid for every (workload, hardware-variant) pair
-/// through the batched evaluator and prints the global Pareto frontier
-/// of IPC against the area/energy proxy. Timing goes to stderr only, so
-/// stdout is byte-identical across `--threads` settings.
+/// `fosm explore`: sweeps the machine grid for every (workload,
+/// hardware-variant) pair through the batched evaluator and prints the
+/// global Pareto frontier of IPC against the area/energy proxy. Timing
+/// goes to stderr only, so stdout is byte-identical across `--threads`.
 pub fn explore(args: Parsed) -> Result<(), String> {
     let grid = grid_from(&args)?;
     let axes = hardware_axes_from(&args)?;
-    let insts: u64 = args.flag_or("insts", 120_000u64)?;
-    let seed: u64 = args.flag_or("seed", 42u64)?;
+    let insts: u64 = args.get("insts")?.unwrap_or(120_000u64);
+    let seed: u64 = args.get("seed")?.unwrap_or(42u64);
     let threads: usize = args
-        .flag_or("threads", fosm_bench::par::available_threads())?
+        .get("threads")?
+        .unwrap_or_else(fosm_bench::par::available_threads)
         .max(1);
-    let top: usize = args.flag_or("top", 10usize)?;
+    let top: usize = args.get("top")?.unwrap_or(10usize);
 
     let specs: Vec<BenchmarkSpec> = match args.flag("bench") {
         None => vec![BenchmarkSpec::gzip()],
@@ -1123,7 +973,7 @@ pub fn explore(args: Parsed) -> Result<(), String> {
         println!("frontier written to {path}");
     }
 
-    let sim_check: usize = args.flag_or("sim-check", 0usize)?;
+    let sim_check: usize = args.get("sim-check")?.unwrap_or(0usize);
     if sim_check > 0 {
         let mut corners = Vec::new();
         for point in frontier.corners(sim_check) {

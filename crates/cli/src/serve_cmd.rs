@@ -34,20 +34,18 @@ fn env_store() -> Arc<ArtifactStore> {
     Arc::new(store)
 }
 
-/// `fosm serve [--addr A] [--workers N] [--batch-window MS]
-/// [--port-file P] [--no-telemetry]`
-///
-/// Runs until a client sends `shutdown`. Prints `listening on <addr>`
-/// (with the real port when `--addr` ends in `:0`) before accepting,
-/// and optionally writes the address to `--port-file` for scripts.
-/// `--no-telemetry` turns the per-request histograms and flight
-/// recorder off (the overhead-measurement baseline).
+/// `fosm serve`: runs until a client sends `shutdown`. Prints
+/// `listening on <addr>` (with the real port when `--addr` ends in `:0`)
+/// before accepting.
 pub fn serve(args: Parsed) -> Result<(), String> {
     let addr = args.flag("addr").unwrap_or("127.0.0.1:0");
     let workers: usize = args
-        .flag_or("workers", fosm_bench::par::available_threads())?
+        .get("workers")?
+        .unwrap_or_else(fosm_bench::par::available_threads)
         .max(1);
-    let window_ms: u64 = args.flag_or("batch-window", DEFAULT_WINDOW.as_millis() as u64)?;
+    let window_ms: u64 = args
+        .get("batch-window")?
+        .unwrap_or(DEFAULT_WINDOW.as_millis() as u64);
     let service = Arc::new(Service::new(
         env_store(),
         workers,
@@ -76,28 +74,28 @@ pub fn serve(args: Parsed) -> Result<(), String> {
 pub(crate) fn machine_spec(args: &Parsed) -> Result<MachineSpec, String> {
     let base = MachineSpec::default();
     Ok(MachineSpec {
-        width: args.flag_or("width", base.width)?,
-        window: args.flag_or("window", base.window)?,
-        rob: args.flag_or("rob", base.rob)?,
-        depth: args.flag_or("depth", base.depth)?,
-        l2: args.flag_or("l2", base.l2)?,
-        mem: args.flag_or("mem", base.mem)?,
+        width: args.get("width")?.unwrap_or(base.width),
+        window: args.get("window")?.unwrap_or(base.window),
+        rob: args.get("rob")?.unwrap_or(base.rob),
+        depth: args.get("depth")?.unwrap_or(base.depth),
+        l2: args.get("l2")?.unwrap_or(base.l2),
+        mem: args.get("mem")?.unwrap_or(base.mem),
     })
 }
 
 fn profile_request(args: &Parsed) -> Result<ProfileRequest, String> {
     Ok(ProfileRequest {
         bench: args.flag("bench").unwrap_or("gzip").to_string(),
-        insts: args.flag_or("insts", 120_000u64)?,
-        seed: args.flag_or("seed", 42u64)?,
+        insts: args.get("insts")?.unwrap_or(120_000u64),
+        seed: args.get("seed")?.unwrap_or(42u64),
         machine: machine_spec(args)?,
         probe: args.flag("probe").unwrap_or("full").to_string(),
     })
 }
 
 /// Builds the request a `fosm client <action>` invocation describes.
-fn build_request(action: &str, args: &Parsed) -> Result<Request, String> {
-    Ok(match action {
+fn build_request(args: &Parsed) -> Result<Request, String> {
+    Ok(match args.action() {
         "ping" => Request::Ping,
         "stats" => Request::Stats,
         "telemetry" => Request::Telemetry,
@@ -106,43 +104,32 @@ fn build_request(action: &str, args: &Parsed) -> Result<Request, String> {
         "model" => Request::Model(profile_request(args)?),
         "validate" => Request::Validate(ValidateRequest {
             bench: args.flag("bench").unwrap_or("gzip").to_string(),
-            insts: args.flag_or("insts", 120_000u64)?,
-            seed: args.flag_or("seed", 42u64)?,
+            insts: args.get("insts")?.unwrap_or(120_000u64),
+            seed: args.get("seed")?.unwrap_or(42u64),
             machine: machine_spec(args)?,
         }),
         "explore" => Request::Explore(ExploreRequest {
             bench: args.flag("bench").unwrap_or("gzip").to_string(),
-            insts: args.flag_or("insts", 120_000u64)?,
-            seed: args.flag_or("seed", 42u64)?,
+            insts: args.get("insts")?.unwrap_or(120_000u64),
+            seed: args.get("seed")?.unwrap_or(42u64),
             // An absent axis stays empty: the daemon substitutes its
             // baseline-sweep values.
-            widths: args.u32_list("widths", &[])?,
-            windows: args.u32_list("windows", &[])?,
-            robs: args.u32_list("robs", &[])?,
-            depths: args.u32_list("depths", &[])?,
-            l2s: args.u32_list("l2s", &[])?,
-            mems: args.u32_list("mems", &[])?,
+            widths: args.list("widths", vec![], str::parse)?,
+            windows: args.list("windows", vec![], str::parse)?,
+            robs: args.list("robs", vec![], str::parse)?,
+            depths: args.list("depths", vec![], str::parse)?,
+            l2s: args.list("l2s", vec![], str::parse)?,
+            mems: args.list("mems", vec![], str::parse)?,
         }),
-        other => {
-            return Err(format!(
-                "unknown client action `{other}` (expected ping, stats, telemetry, \
-                 shutdown, profile, model, validate, or explore)"
-            ))
-        }
+        other => unreachable!("the command table declares no client action `{other}`"),
     })
 }
 
-/// `fosm client <action> (--addr A | --local) [request flags]`
-///
-/// Sends one request and prints the response body. With `--local` the
-/// request is executed in-process through the same `Service` code the
-/// daemon runs, so the printed bytes are identical either way.
+/// `fosm client <action>`: sends one request and prints the response
+/// body. With `--local` the request runs in-process through the same
+/// `Service` code the daemon runs, so the printed bytes are identical.
 pub fn client(args: Parsed) -> Result<(), String> {
-    let action = args.positional(
-        0,
-        "client action (ping|stats|telemetry|shutdown|profile|model|validate|explore)",
-    )?;
-    let req = build_request(action, &args)?;
+    let req = build_request(&args)?;
     let response = if args.has("local") {
         let service = Service::local();
         let response = service.execute(&req);
@@ -168,28 +155,20 @@ pub fn client(args: Parsed) -> Result<(), String> {
 /// disk cache env is scrubbed so the baseline cannot warm itself.
 fn one_shot_subprocess(req: &Request) -> Result<Response, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
-    let p = match req {
-        Request::Profile(p) | Request::Model(p) => p,
+    let (action, p) = match req {
+        Request::Profile(p) => ("profile", p),
+        Request::Model(p) => ("model", p),
         other => return Err(format!("one-shot baseline cannot run {other:?}")),
-    };
-    let action = if matches!(req, Request::Profile(_)) {
-        "profile"
-    } else {
-        "model"
     };
     let output = std::process::Command::new(exe)
         .args([
             "client",
             action,
             "--local",
-            "--bench",
-            &p.bench,
-            "--insts",
-            &p.insts.to_string(),
-            "--seed",
-            &p.seed.to_string(),
-            "--probe",
-            &p.probe,
+            &format!("--bench={}", p.bench),
+            &format!("--insts={}", p.insts),
+            &format!("--seed={}", p.seed),
+            &format!("--probe={}", p.probe),
         ])
         .env_remove("FOSM_CACHE_DIR")
         .output()
@@ -205,24 +184,17 @@ fn one_shot_subprocess(req: &Request) -> Result<Response, String> {
     ))
 }
 
-/// `fosm loadgen --addr A [--clients N] [--requests M] [--insts N]
-/// [--seed S] [--verify] [--seq] [--min-speedup X] [-o BENCH.json]
-/// [--baseline BENCH.json] [--check]`
-///
-/// Drives the daemon with N concurrent clients sending M requests
-/// each. `--verify` cross-checks every response byte-for-byte against
-/// in-process execution; `--seq` also times the identical request
-/// stream as sequential one-shot subprocesses and reports the speedup
-/// (gated by `--min-speedup`). `-o` writes the criterion-format
-/// baseline; `--baseline` + `--check` gate against a committed one.
+/// `fosm loadgen`: drives the daemon with N concurrent clients sending
+/// M requests each, and records latency and throughput in the
+/// criterion baseline format.
 pub fn loadgen(args: Parsed) -> Result<(), String> {
     use fosm_serve::loadgen;
 
     let addr = args.flag("addr").ok_or("--addr <host:port> is required")?;
-    let clients: usize = args.flag_or("clients", 8usize)?.max(1);
-    let per_client: usize = args.flag_or("requests", 8usize)?.max(1);
-    let insts: u64 = args.flag_or("insts", 20_000u64)?;
-    let seed: u64 = args.flag_or("seed", 42u64)?;
+    let clients: usize = args.get("clients")?.unwrap_or(8usize).max(1);
+    let per_client: usize = args.get("requests")?.unwrap_or(8usize).max(1);
+    let insts: u64 = args.get("insts")?.unwrap_or(20_000u64);
+    let seed: u64 = args.get("seed")?.unwrap_or(42u64);
     let plan = loadgen::plan(clients, per_client, insts, seed);
 
     let oracle_service = if args.has("verify") {
@@ -286,7 +258,7 @@ pub fn loadgen(args: Parsed) -> Result<(), String> {
             "oneshot/ns_per_req".to_string(),
             sequential.ns_per_request(),
         ));
-        let min_speedup: f64 = args.flag_or("min-speedup", 0.0f64)?;
+        let min_speedup: f64 = args.get("min-speedup")?.unwrap_or(0.0f64);
         if speedup < min_speedup {
             return Err(format!(
                 "daemon speedup {speedup:.2}x is below the required {min_speedup:.2}x"
@@ -430,18 +402,13 @@ fn render_top(addr: &str, body: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// `fosm top --addr A [--interval MS] [--once] [--json]`
-///
-/// Polls the daemon's `telemetry` request and renders the per-kind
-/// phase histograms, pool/batch counters, and flight-recorder tail.
-/// Live mode redraws every `--interval` milliseconds until
-/// interrupted; `--once` prints a single snapshot and exits;
-/// `--json` prints the raw schema-versioned JSON body instead of the
-/// table (`--once --json` is the CI-friendly form — the body lands on
-/// stdout verbatim, ready for artifact upload).
+/// `fosm top`: polls the daemon's `telemetry` request and renders the
+/// per-kind phase histograms, pool/batch counters, and flight-recorder
+/// tail, redrawing in place until interrupted. `--once --json` is the
+/// CI-friendly form: the raw body lands on stdout verbatim.
 pub fn top(args: Parsed) -> Result<(), String> {
     let addr = args.flag("addr").ok_or("--addr <host:port> is required")?;
-    let interval_ms: u64 = args.flag_or("interval", 1000u64)?;
+    let interval_ms: u64 = args.get("interval")?.unwrap_or(1000u64);
     let once = args.has("once");
     let json = args.has("json");
     loop {

@@ -648,3 +648,230 @@ fn profile_probes_parse_the_machine_setup_once() {
     let _ = std::fs::remove_file(&profile);
     let _ = std::fs::remove_file(&metrics);
 }
+
+const MACHINE: &[&str] = &["width", "window", "rob", "depth", "l2", "mem"];
+const GRID: &[&str] = &["widths", "windows", "robs", "depths", "l2s", "mems"];
+const WORKLOAD: &[&str] = &["bench", "insts", "seed"];
+const CONNECT: &[&str] = &["addr", "local"];
+const GLOBAL: &[&str] = &["metrics", "trace", "help"];
+
+/// A command's words, its own flags, and the shared groups it takes.
+type Declared = (
+    &'static [&'static str],
+    &'static [&'static str],
+    &'static [&'static [&'static str]],
+);
+
+/// Every command (with its action word, where it takes one) and the
+/// flags it declares: the CLI's whole surface.
+fn surface() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
+    let own: &[Declared] = &[
+        (&["record"], &["bench", "insts", "seed", "out"], &[]),
+        (&["corpus", "info"], &[], &[]),
+        (&["corpus", "verify"], &[], &[]),
+        (&["stats"], &[], &[]),
+        (
+            &["profile"],
+            &[
+                "out", "probes", "sample", "warmup", "period", "prefetch", "tlb",
+            ],
+            &[MACHINE],
+        ),
+        (&["model"], &[], &[MACHINE]),
+        (
+            &["simulate"],
+            &[
+                "ideal", "prefetch", "tlb", "clusters", "forward", "fu", "buffer",
+            ],
+            &[MACHINE],
+        ),
+        (
+            &["validate"],
+            &[
+                "insts",
+                "seed",
+                "threads",
+                "bench",
+                "tol",
+                "baseline",
+                "check",
+                "report",
+                "statsim",
+                "corpus",
+                "fuzz",
+                "fuzz-seed",
+                "fuzz-repro",
+            ],
+            &[MACHINE],
+        ),
+        (
+            &["explore"],
+            &[
+                "bench",
+                "insts",
+                "seed",
+                "threads",
+                "icaches",
+                "dcaches",
+                "predictors",
+                "top",
+                "frontier",
+                "export",
+                "sim-check",
+            ],
+            &[GRID],
+        ),
+        (&["trace"], &["insts", "seed", "top", "chrome"], &[MACHINE]),
+        (&["metrics", "diff"], &["max-regress"], &[]),
+        (
+            &["serve"],
+            &[
+                "addr",
+                "workers",
+                "batch-window",
+                "port-file",
+                "no-telemetry",
+            ],
+            &[],
+        ),
+        (&["client", "ping"], &[], &[CONNECT]),
+        (&["client", "stats"], &[], &[CONNECT]),
+        (&["client", "telemetry"], &[], &[CONNECT]),
+        (&["client", "shutdown"], &[], &[CONNECT]),
+        (
+            &["client", "profile"],
+            &["probe"],
+            &[CONNECT, WORKLOAD, MACHINE],
+        ),
+        (
+            &["client", "model"],
+            &["probe"],
+            &[CONNECT, WORKLOAD, MACHINE],
+        ),
+        (&["client", "validate"], &[], &[CONNECT, WORKLOAD, MACHINE]),
+        (&["client", "explore"], &[], &[CONNECT, WORKLOAD, GRID]),
+        (
+            &["loadgen"],
+            &[
+                "addr",
+                "clients",
+                "requests",
+                "insts",
+                "seed",
+                "verify",
+                "seq",
+                "min-speedup",
+                "out",
+                "baseline",
+                "check",
+            ],
+            &[],
+        ),
+        (&["top"], &["addr", "interval", "once", "json"], &[]),
+        (&["bench-list"], &[], &[]),
+    ];
+    own.iter()
+        .map(|(words, flags, groups)| {
+            let mut all = flags.to_vec();
+            groups.iter().for_each(|g| all.extend_from_slice(g));
+            all.extend_from_slice(GLOBAL);
+            (words.to_vec(), all)
+        })
+        .collect()
+}
+
+#[test]
+fn every_command_rejects_unknown_flags_and_documents_its_own() {
+    let full = fosm(&["help"]);
+    assert!(full.status.success());
+    let full = String::from_utf8_lossy(&full.stdout).into_owned();
+    for (words, flags) in surface() {
+        let cmd = words.join(" ");
+        let mut argv = words.clone();
+        argv.extend_from_slice(&["--bogus", "1"]);
+        let out = fosm(&argv);
+        assert!(!out.status.success(), "{cmd} accepted --bogus");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            err.contains("--bogus") && err.contains(&format!("`fosm {cmd}`")),
+            "{cmd}: {err}"
+        );
+
+        let mut argv = words.clone();
+        argv.push("--help");
+        let out = fosm(&argv);
+        assert!(out.status.success(), "{cmd} --help failed");
+        let help = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(help.contains(&format!("fosm {cmd} ")), "{cmd}: {help}");
+        for flag in &flags {
+            let row = format!("--{flag} ");
+            assert!(help.contains(&row), "`fosm {cmd} --help` lacks --{flag}");
+            assert!(full.contains(&row), "`fosm help` lacks --{flag}");
+        }
+    }
+}
+
+#[test]
+fn malformed_flags_name_the_flag_and_the_command() {
+    let trace = tmp("strict.fct");
+    let out = fosm(&["record", "--bench", "gzip", "--insts", "2000", "-o", &trace]);
+    assert!(out.status.success());
+    for (argv, needle) in [
+        (
+            vec!["simulate", &trace, "--widht", "8"],
+            "unknown flag --widht for `fosm simulate`",
+        ),
+        (
+            vec!["simulate", &trace, "--width", "2", "--width", "8"],
+            "flag --width given twice to `fosm simulate`",
+        ),
+        (
+            vec!["validate", "--check=1"],
+            "flag --check of `fosm validate` takes no value",
+        ),
+        (
+            vec!["stats", &trace, "extra.fct"],
+            "unexpected argument `extra.fct` for `fosm stats`",
+        ),
+        (
+            vec!["stats", &trace, "--metrics"],
+            "flag --metrics of `fosm stats` needs a value",
+        ),
+        (
+            vec!["loadgen", "--addr", "127.0.0.1:9", "--check"],
+            "flag --check of `fosm loadgen` needs --baseline",
+        ),
+        (
+            vec!["loadgen", "--addr", "127.0.0.1:9", "--min-speedup", "3"],
+            "flag --min-speedup of `fosm loadgen` needs --seq",
+        ),
+        (
+            vec!["profile", &trace, "--warmup", "100"],
+            "flag --warmup of `fosm profile` needs --sample",
+        ),
+        (
+            vec!["profile", &trace, "--period", "100"],
+            "flag --period of `fosm profile` needs --sample",
+        ),
+        (
+            vec!["simulate", &trace, "--forward", "2"],
+            "flag --forward of `fosm simulate` needs --clusters",
+        ),
+        (
+            vec!["validate", "--fuzz-seed", "7"],
+            "flag --fuzz-seed of `fosm validate` needs --fuzz",
+        ),
+    ] {
+        let out = fosm(&argv);
+        assert!(!out.status.success(), "{argv:?} exited 0");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains(needle), "{argv:?}: {err}");
+    }
+
+    // `--name=value` works for every value flag, not only the globals.
+    let spaced = fosm(&["simulate", &trace, "--width", "8"]);
+    let equals = fosm(&["simulate", &trace, "--width=8"]);
+    assert!(equals.status.success());
+    assert_eq!(spaced.stdout, equals.stdout);
+    let _ = std::fs::remove_file(&trace);
+}
