@@ -12,13 +12,15 @@ use std::str::FromStr;
 use crate::{commands, serve_cmd};
 
 /// One declared flag: its name, its metavar (`None` for a switch), one
-/// help line, and the flag it only modifies, if any — giving it without
-/// that flag is an error rather than a silent no-op.
+/// help line, the flag it only modifies, if any, and the flags its mode
+/// never reads. Giving it without the first, or with any of the others,
+/// is an error rather than a silent no-op.
 pub struct Flag {
     name: &'static str,
     metavar: Option<&'static str>,
     help: &'static str,
     requires: Option<&'static str>,
+    excludes: &'static [&'static str],
 }
 
 const fn value(name: &'static str, metavar: &'static str, help: &'static str) -> Flag {
@@ -27,6 +29,7 @@ const fn value(name: &'static str, metavar: &'static str, help: &'static str) ->
         metavar: Some(metavar),
         help,
         requires: None,
+        excludes: &[],
     }
 }
 
@@ -36,6 +39,7 @@ const fn switch(name: &'static str, help: &'static str) -> Flag {
         metavar: None,
         help,
         requires: None,
+        excludes: &[],
     }
 }
 
@@ -43,6 +47,13 @@ impl Flag {
     const fn requires(self, other: &'static str) -> Flag {
         Flag {
             requires: Some(other),
+            ..self
+        }
+    }
+
+    const fn excludes(self, others: &'static [&'static str]) -> Flag {
+        Flag {
+            excludes: others,
             ..self
         }
     }
@@ -171,7 +182,7 @@ pub static COMMANDS: &[Spec] = &[
     ]},
     Spec { usage: "model <profile.json>", run: commands::model, shared: &[&MACHINE], flags: &[] },
     Spec { usage: "simulate <trace.fct>", run: commands::simulate, shared: &[&MACHINE], flags: &[
-        switch("ideal", "ideal caches and predictor (no miss events)"),
+        switch("ideal", "ideal caches and predictor (no miss events)").excludes(&["prefetch"]),
         PREFETCH,
         TLB,
         value("clusters", "K", "K-cluster issue window"),
@@ -190,7 +201,8 @@ pub static COMMANDS: &[Spec] = &[
         value("report", "P", "write the full JSON validation report to P"),
         switch("statsim", "also run the statistical-simulation baseline"),
         value("corpus", "LIST", "validate these comma-separated trace files instead"),
-        value("fuzz", "N", "differential-fuzz N random machines instead"),
+        value("fuzz", "N", "differential-fuzz N random machines instead")
+            .excludes(&["check", "report", "baseline", "bench", "corpus", "statsim"]),
         value("fuzz-seed", "S", "fuzzer RNG seed (0xF05A)").requires("fuzz"),
         value("fuzz-repro", "J", "replay one fuzz case from its JSON form"),
     ]},
@@ -289,7 +301,8 @@ pub struct Parsed {
 impl Parsed {
     /// Parses `args` against `spec`. Rejects an undeclared flag, a flag
     /// given twice, a value on a switch, a missing value, a missing or
-    /// extra positional, and a flag given without the flag it requires.
+    /// extra positional, a flag given without the flag it requires, and
+    /// a flag given with one it excludes.
     pub fn new(spec: &'static Spec, args: &[String]) -> Result<Self, String> {
         let cmd = spec.title();
         let (mut positional, mut flags) = (Vec::new(), BTreeMap::new());
@@ -330,10 +343,12 @@ impl Parsed {
             return Err(format!("`fosm {cmd}` needs {missing}"));
         }
         for name in flags.keys() {
-            if let Some(needed) = spec.find(name).and_then(|f| f.requires) {
-                if !flags.contains_key(needed) {
-                    return Err(format!("flag --{name} of `fosm {cmd}` needs --{needed}"));
-                }
+            let flag = spec.find(name).expect("parsed flags are declared");
+            if let Some(needed) = flag.requires.filter(|n| !flags.contains_key(n)) {
+                return Err(format!("flag --{name} of `fosm {cmd}` needs --{needed}"));
+            }
+            if let Some(other) = flag.excludes.iter().find(|o| flags.contains_key(*o)) {
+                return Err(format!("flag --{name} of `fosm {cmd}` excludes --{other}"));
             }
         }
         Ok(Parsed {
@@ -404,7 +419,11 @@ fn write_rows(out: &mut String, flags: &[Flag]) {
         let needs = f
             .requires
             .map_or(String::new(), |r| format!(" (with --{r})"));
-        let _ = writeln!(out, "    {name:<20} {}{needs}", f.help);
+        let excludes = match f.excludes {
+            [] => String::new(),
+            others => format!(" (not with --{})", others.join(", --")),
+        };
+        let _ = writeln!(out, "    {name:<20} {}{needs}{excludes}", f.help);
     }
 }
 
@@ -620,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn modifier_flags_need_the_flag_they_modify() {
+    fn flags_need_what_they_modify_and_reject_what_their_mode_ignores() {
         for (argv, needle) in [
             (
                 &["loadgen", "--addr", "a:1", "--check"][..],
@@ -634,12 +653,42 @@ mod tests {
             (&["profile", "t.fct", "--period", "10"], "needs --sample"),
             (&["simulate", "t.fct", "--forward", "2"], "needs --clusters"),
             (&["validate", "--fuzz-seed", "7"], "needs --fuzz"),
+            (
+                &["simulate", "t.fct", "--prefetch", "1", "--ideal"],
+                "--ideal of `fosm simulate` excludes --prefetch",
+            ),
+            (
+                &["validate", "--fuzz", "8", "--check"],
+                "--fuzz of `fosm validate` excludes --check",
+            ),
+            (
+                &["validate", "--fuzz", "8", "--report", "r"],
+                "excludes --report",
+            ),
+            (
+                &["validate", "--fuzz", "8", "--baseline", "b"],
+                "excludes --baseline",
+            ),
+            (
+                &["validate", "--fuzz", "8", "--bench", "gzip"],
+                "excludes --bench",
+            ),
+            (
+                &["validate", "--fuzz", "8", "--corpus", "t.fct"],
+                "excludes --corpus",
+            ),
+            (
+                &["validate", "--fuzz", "8", "--statsim"],
+                "excludes --statsim",
+            ),
         ] {
             let err = parse_err(argv);
             assert!(err.contains(needle), "{argv:?}: {err}");
         }
         assert!(try_parse(&["loadgen", "--addr", "a:1", "--baseline", "b", "--check"]).is_ok());
         assert!(try_parse(&["simulate", "t.fct", "--clusters", "2", "--forward", "2"]).is_ok());
+        assert!(try_parse(&["simulate", "t.fct", "--ideal", "--tlb", "8"]).is_ok());
+        assert!(try_parse(&["validate", "--fuzz", "8", "--fuzz-seed", "1", "--tol", "x"]).is_ok());
     }
 
     #[test]
@@ -662,6 +711,14 @@ mod tests {
                     assert!(
                         spec.find(needed).is_some(),
                         "--{} requires --{needed}",
+                        f.name
+                    );
+                }
+                for other in f.excludes {
+                    assert!(
+                        spec.find(other).is_some(),
+                        "`fosm {}`: --{} excludes undeclared --{other}",
+                        spec.title(),
                         f.name
                     );
                 }

@@ -861,6 +861,14 @@ fn malformed_flags_name_the_flag_and_the_command() {
             vec!["validate", "--fuzz-seed", "7"],
             "flag --fuzz-seed of `fosm validate` needs --fuzz",
         ),
+        (
+            vec!["simulate", &trace, "--ideal", "--prefetch", "1"],
+            "flag --ideal of `fosm simulate` excludes --prefetch",
+        ),
+        (
+            vec!["validate", "--fuzz", "8", "--check"],
+            "flag --fuzz of `fosm validate` excludes --check",
+        ),
     ] {
         let out = fosm(&argv);
         assert!(!out.status.success(), "{argv:?} exited 0");

@@ -244,7 +244,7 @@ fn top_once_json_returns_populated_telemetry_snapshot() {
         String::from_utf8_lossy(&out.stderr)
     );
     let body = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(body.contains("\"fosm_telemetry\":1"), "{body}");
+    assert!(body.contains("\"fosm_telemetry\":2"), "{body}");
     assert!(body.contains("\"serve.total_us.ping\""), "{body}");
     assert!(body.contains("\"serve.queue_us.profile\""), "{body}");
     assert!(body.contains("\"kind\":\"ping\""), "{body}");
@@ -254,7 +254,7 @@ fn top_once_json_returns_populated_telemetry_snapshot() {
     let out = fosm(&["client", "telemetry", "--addr", &addr]);
     assert!(out.status.success());
     assert!(
-        String::from_utf8_lossy(&out.stdout).contains("\"fosm_telemetry\":1"),
+        String::from_utf8_lossy(&out.stdout).contains("\"fosm_telemetry\":2"),
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );

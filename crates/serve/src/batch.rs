@@ -27,7 +27,10 @@
 //!   and hands each follower its result;
 //! * a failure (invalid probe configuration) is broadcast to the whole
 //!   batch — every member requested the same trace, so the failure is
-//!   common property.
+//!   common property;
+//! * a leader that panics still closes its batch on the way out and
+//!   broadcasts [`LEADER_PANICKED`], so no follower waits forever on
+//!   a result that will never come.
 //!
 //! The batching window trades latency for throughput: a window of
 //! `w` adds at most `w` to an isolated request that must compute, but
@@ -44,7 +47,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use fosm_bench::store::ArtifactStore;
@@ -54,6 +57,10 @@ use fosm_workloads::BenchmarkSpec;
 
 /// Default batching window for the daemon.
 pub const DEFAULT_WINDOW: Duration = Duration::from_millis(2);
+
+/// The error every follower of a batch receives when its leader
+/// panicked before publishing a result.
+pub const LEADER_PANICKED: &str = "the batch leader panicked";
 
 /// What one batch coalesces over: the exact trace identity plus the
 /// model parameters (probes with different params cannot share a
@@ -74,8 +81,10 @@ struct CellState {
     /// fresh one.
     closed: bool,
     /// The per-probe results, in `probes` order, once computed.
-    result: Option<Result<Vec<Arc<ProgramProfile>>, String>>,
+    result: Option<BatchResult>,
 }
+
+type BatchResult = Result<Vec<Arc<ProgramProfile>>, String>;
 
 /// Timing source for the leader's wait: a real window, or a manual
 /// gate a test releases explicitly.
@@ -159,11 +168,14 @@ impl Batcher {
         insts: u64,
         seed: u64,
     ) -> usize {
-        let key = batch_key(params, spec, insts, seed);
+        self.parked(&batch_key(params, spec, insts, seed))
+    }
+
+    fn parked(&self, key: &BatchKey) -> usize {
         self.open
             .lock()
             .expect("batcher map")
-            .get(&key)
+            .get(key)
             .map_or(0, |cell| {
                 cell.state.lock().expect("batch cell").probes.len()
             })
@@ -187,7 +199,7 @@ impl Batcher {
     /// # Errors
     ///
     /// Collection errors (invalid probe configurations), broadcast to
-    /// every member of the batch.
+    /// every member of the batch, or [`LEADER_PANICKED`].
     pub fn profile(
         &self,
         store: &ArtifactStore,
@@ -201,7 +213,22 @@ impl Batcher {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(profile);
         }
-        let key = batch_key(params, spec, insts, seed);
+        self.coalesce(batch_key(params, spec, insts, seed), probe, |bank| {
+            store
+                .profile_many(params, bank, spec, insts, seed)
+                .map_err(|e| e.to_string())
+        })
+    }
+
+    /// Joins the open batch for `key`, or opens one and leads it, in
+    /// which case `compute` runs the fused pass over every member's
+    /// probe.
+    fn coalesce(
+        &self,
+        key: BatchKey,
+        probe: Probe,
+        compute: impl FnOnce(&ProbeBank) -> BatchResult,
+    ) -> Result<Arc<ProgramProfile>, String> {
         loop {
             let (cell, my_index) = {
                 let mut open = self.open.lock().expect("batcher map");
@@ -233,7 +260,7 @@ impl Batcher {
                         });
                         open.insert(key.clone(), Arc::clone(&cell));
                         drop(open);
-                        return self.lead(store, params, spec, insts, seed, &key, &cell);
+                        return self.lead(&key, &cell, compute);
                     }
                 }
             };
@@ -261,17 +288,18 @@ impl Batcher {
 
     /// Leader path: wait out the gate, close the batch, run the one
     /// fused pass, broadcast.
-    #[allow(clippy::too_many_arguments)]
     fn lead(
         &self,
-        store: &ArtifactStore,
-        params: &ProcessorParams,
-        spec: &BenchmarkSpec,
-        insts: u64,
-        seed: u64,
         key: &BatchKey,
-        cell: &Arc<Cell>,
+        cell: &Cell,
+        compute: impl FnOnce(&ProbeBank) -> BatchResult,
     ) -> Result<Arc<ProgramProfile>, String> {
+        let broadcast = Broadcast {
+            open: &self.open,
+            key,
+            cell,
+            sent: false,
+        };
         let gate_start = std::time::Instant::now();
         match &self.gate {
             Gate::Window(window) => {
@@ -307,18 +335,62 @@ impl Batcher {
         self.passes.fetch_add(1, Ordering::Relaxed);
         fosm_obs::counter_add("serve.batch.passes", 1);
         fosm_obs::hist_record("serve.batch.occupancy", bank.len() as u64);
-        let result = store
-            .profile_many(params, &bank, spec, insts, seed)
-            .map_err(|e| e.to_string());
+        let result = compute(&bank);
         let my_profile = match &result {
             Ok(profiles) => Ok(Arc::clone(&profiles[0])),
             Err(e) => Err(e.clone()),
         };
-        let mut state = cell.state.lock().expect("batch cell");
+        broadcast.send(result);
+        my_profile
+    }
+}
+
+/// A leader's duty to its followers: publish the batch's result
+/// exactly once. [`send`](Broadcast::send) publishes the computed one;
+/// if the leader unwinds first, the drop closes the batch and
+/// publishes [`LEADER_PANICKED`] instead. The locks are taken poison-
+/// tolerant there, because a second panic while unwinding aborts.
+struct Broadcast<'a> {
+    open: &'a Mutex<HashMap<BatchKey, Arc<Cell>>>,
+    key: &'a BatchKey,
+    cell: &'a Cell,
+    sent: bool,
+}
+
+impl Broadcast<'_> {
+    fn send(mut self, result: BatchResult) {
+        self.publish(result);
+        self.sent = true;
+    }
+
+    fn publish(&self, result: BatchResult) {
+        let mut state = self
+            .cell
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.closed = true;
         state.result = Some(result);
         drop(state);
-        cell.done.notify_all();
-        my_profile
+        self.cell.done.notify_all();
+    }
+}
+
+impl Drop for Broadcast<'_> {
+    fn drop(&mut self) {
+        if self.sent {
+            return;
+        }
+        // Map before cell, the order `coalesce` takes them in.
+        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        if open
+            .get(self.key)
+            .is_some_and(|cell| std::ptr::eq(&**cell, self.cell))
+        {
+            open.remove(self.key);
+        }
+        drop(open);
+        self.publish(Err(LEADER_PANICKED.to_string()));
     }
 }
 
@@ -480,6 +552,61 @@ mod tests {
         });
         let stats = batcher.stats();
         assert_eq!((stats.passes, stats.memo_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_panicking_leader_fails_its_followers_instead_of_stranding_them() {
+        let batcher = Arc::new(Batcher::with_manual_gate());
+        let key: BatchKey = ("trace".into(), 1, 2, "params".into());
+        let leader = {
+            let (batcher, key) = (Arc::clone(&batcher), key.clone());
+            std::thread::spawn(move || {
+                batcher.coalesce(key, variant("lead", 0), |_| panic!("injected leader fault"))
+            })
+        };
+        while batcher.parked(&key) < 1 {
+            std::thread::yield_now();
+        }
+        // Not a scoped thread, so a stranded follower fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let follower = {
+            let (batcher, key) = (Arc::clone(&batcher), key.clone());
+            std::thread::spawn(move || {
+                let outcome = batcher.coalesce(key, variant("follow", 1), |_| {
+                    unreachable!("a follower never computes")
+                });
+                let _ = tx.send(outcome);
+            })
+        };
+        while batcher.parked(&key) < 2 {
+            std::thread::yield_now();
+        }
+        batcher.release_gate();
+        assert!(leader.join().is_err(), "the leader's panic propagates");
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the follower is answered");
+        assert_eq!(outcome.unwrap_err(), LEADER_PANICKED);
+        follower.join().expect("follower thread");
+        // The failed batch is closed: the next request opens a new one.
+        assert_eq!(batcher.parked(&key), 0);
+        std::thread::scope(|s| {
+            let next = s.spawn(|| {
+                batcher.coalesce(key.clone(), variant("next", 0), |bank| {
+                    assert_eq!(bank.len(), 1);
+                    Err("recomputed".to_string())
+                })
+            });
+            while batcher.parked(&key) < 1 {
+                std::thread::yield_now();
+            }
+            batcher.release_gate();
+            assert_eq!(
+                next.join().expect("next request").unwrap_err(),
+                "recomputed"
+            );
+        });
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * [`proto`] — the wire protocol: length-prefixed JSON frames over
 //!   TCP, with structured errors for oversized, truncated, and
 //!   malformed input;
-//! * [`pool`] — a work-stealing worker pool (per-worker LIFO deques, a
-//!   shared injector, FIFO stealing) that executes requests and
-//!   explore shards;
+//! * [`pool`] — a FIFO worker pool (persistent workers popping one
+//!   shared queue) that runs each request on one worker and survives
+//!   a job that panics;
 //! * [`batch`] — leader–follower request batching that coalesces
 //!   concurrent same-trace probe requests into one fused
 //!   `profile_many` replay;

@@ -1,129 +1,50 @@
-//! Persistent work-stealing worker pool.
+//! Persistent FIFO worker pool.
 //!
 //! The figure binaries fan out with `fosm_bench::par::par_map`, which
 //! spawns scoped threads per call — fine for a batch job, wasteful for
 //! a daemon answering thousands of small requests. This pool keeps a
-//! fixed set of **persistent** workers alive for the process lifetime
-//! and distributes work in the Chase–Lev shape:
+//! fixed set of **persistent** workers alive for the process lifetime.
+//! They pop jobs in submission order from one `Mutex<VecDeque>` and
+//! park on one condvar when it is empty. The jobs are request-grained
+//! (microseconds to seconds), so one uncontended lock per job is noise.
 //!
-//! * each worker owns a deque; the owner pushes and pops at the
-//!   **back** (LIFO, cache-warm), thieves steal from the **front**
-//!   (FIFO, oldest first);
-//! * work submitted from outside the pool lands in a shared injector
-//!   queue that idle workers drain;
-//! * an idle worker scans: own deque → injector → steal sweep over the
-//!   other deques (starting at its right neighbor, so thieves spread
-//!   out) → park on a condvar.
+//! One rule the types cannot show: **a pool job must never wait on
+//! queued work.** With every worker waiting on jobs that only a worker
+//! could run, the pool deadlocks. A request job that has more work to
+//! do runs it itself (see `Service::explore`). Waiting on a job that is
+//! already running is fine: a batch follower waits on its leader, and
+//! the leader broadcasts even if it panics.
 //!
-//! Unlike the classical lock-free Chase–Lev deque, each queue here is
-//! a `Mutex<VecDeque>`: the workspace forbids `unsafe`, and the jobs
-//! this pool carries are request-grained (microseconds to seconds), so
-//! an uncontended lock per transfer is noise. What the structure keeps
-//! from Chase–Lev is the *topology* — owner-local LIFO ends, stealing
-//! from the cold end, no central queue on the hot path — which is what
-//! prevents a long `explore` fan-out from serializing behind a single
-//! lock.
-//!
-//! Blocking on the pool from inside the pool is the classic
-//! starvation trap, so [`WorkerPool::run_many`] makes the caller a
-//! *participant*: it pushes the sub-jobs onto its own deque (or the
-//! injector, from outside the pool) and then runs jobs itself until
-//! its batch completes. A worker is never parked waiting for work that
-//! only it could run.
+//! A job that panics does not take its worker down: the worker catches
+//! the unwind and carries on, and the job's [`TaskHandle::wait`]
+//! returns `Err` because its result sender was dropped unsent.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 /// A unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Distinguishes pools so a worker of one pool submitting to another
-/// uses the injector, not a deque index that belongs to the wrong pool.
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(pool id, worker index)` when the current thread is a worker.
-    static WORKER: std::cell::Cell<Option<(u64, usize)>> = const { std::cell::Cell::new(None) };
-}
-
-/// Coordination state guarded by the park mutex.
-#[derive(Debug, Default)]
-struct Park {
+/// The queue and the shutdown flag, under one lock so a worker checks
+/// both before it parks and can never miss a push or the shutdown.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
     /// Set once by [`WorkerPool::shutdown`]; workers drain and exit.
     shutdown: bool,
 }
 
+#[derive(Default)]
 struct Shared {
-    id: u64,
-    injector: Mutex<VecDeque<Job>>,
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Jobs pushed but not yet taken, across all queues. Checked under
-    /// the park mutex before sleeping, so a push (which increments
-    /// first, then notifies under the mutex) can never be missed.
-    pending: AtomicUsize,
-    park: Mutex<Park>,
+    queue: Mutex<Queue>,
     wake: Condvar,
-    /// Total jobs executed (all workers + participants), for stats.
+    /// Jobs a worker has taken (finished, panicked or running), for
+    /// stats.
     executed: AtomicU64,
-    /// Jobs taken from another worker's deque, for stats.
-    steals: AtomicU64,
-    /// Times a worker parked on the condvar with nothing to do.
+    /// Times a worker parked with nothing to do.
     parks: AtomicU64,
-    /// Jobs executed by a [`WorkerPool::run_many`] caller while
-    /// participating in its own batch.
-    caller_runs: AtomicU64,
-}
-
-impl Shared {
-    /// Takes one job: own deque's back (if `me` is a worker), then the
-    /// injector's front, then a steal sweep over the other deques.
-    fn find_work(&self, me: Option<usize>) -> Option<Job> {
-        if let Some(idx) = me {
-            if let Some(job) = self.deques[idx].lock().expect("pool deque").pop_back() {
-                self.pending.fetch_sub(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().expect("pool injector").pop_front() {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
-            return Some(job);
-        }
-        let n = self.deques.len();
-        let start = me.map_or(0, |idx| idx + 1);
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(job) = self.deques[victim].lock().expect("pool deque").pop_front() {
-                self.pending.fetch_sub(1, Ordering::Relaxed);
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Queues one job from the calling thread and wakes a worker.
-    fn push(&self, job: Job) {
-        let me = WORKER.with(|w| w.get());
-        let queue = match me {
-            Some((pool, idx)) if pool == self.id => &self.deques[idx],
-            _ => &self.injector,
-        };
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        queue.lock().expect("pool queue").push_back(job);
-        // Touch the park mutex before notifying: a worker between its
-        // pending check and its wait would otherwise miss the signal.
-        drop(self.park.lock().expect("pool park"));
-        self.wake.notify_one();
-    }
-
-    fn run(&self, job: Job) {
-        job();
-        self.executed.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Pool traffic counters, for the daemon's `stats` response.
@@ -131,14 +52,11 @@ impl Shared {
 pub struct PoolStats {
     /// Worker threads.
     pub workers: usize,
-    /// Jobs executed since the pool started.
+    /// Jobs taken by a worker since the pool started (finished,
+    /// panicked or running): with `queue_depth`, every job submitted.
     pub executed: u64,
-    /// Jobs that moved between workers via stealing.
-    pub steals: u64,
     /// Times a worker parked with nothing to do.
     pub parks: u64,
-    /// Jobs a `run_many` caller executed while waiting on its batch.
-    pub caller_runs: u64,
     /// Jobs queued but not yet taken, at stats time.
     pub queue_depth: usize,
 }
@@ -153,36 +71,17 @@ pub struct WorkerPool {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.worker_count)
-            .finish()
-    }
-}
-
 impl WorkerPool {
     /// Starts `workers` persistent worker threads (at least 1).
     pub fn new(workers: usize) -> WorkerPool {
         let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            park: Mutex::new(Park::default()),
-            wake: Condvar::new(),
-            executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            caller_runs: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::default());
         let handles = (0..workers)
             .map(|idx| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("fosm-serve-worker-{idx}"))
-                    .spawn(move || worker_loop(&shared, idx))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -193,97 +92,25 @@ impl WorkerPool {
         }
     }
 
-    /// Queues `job` for execution on some worker. From a worker thread
-    /// of this pool, the job goes to that worker's own deque (LIFO
-    /// end); from anywhere else, to the injector.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.shared.push(Box::new(job));
-    }
-
-    /// Queues `job` and returns a handle that blocks until its result
-    /// is available.
+    /// Queues `job` behind every job submitted before it and returns a
+    /// handle to its result. After [`WorkerPool::shutdown`] the job is
+    /// dropped unrun, so its handle's `wait` returns `Err`.
     pub fn submit<T: Send + 'static>(
         &self,
         job: impl FnOnce() -> T + Send + 'static,
     ) -> TaskHandle<T> {
-        let cell = Arc::new(TaskCell {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
+        let (result, handle) = mpsc::sync_channel(1);
+        let job: Job = Box::new(move || {
+            // The receiver may be gone (its connection hung up); the
+            // job's result then has nowhere to go.
+            let _ = result.send(job());
         });
-        let out = Arc::clone(&cell);
-        self.execute(move || {
-            let value = job();
-            *out.slot.lock().expect("task slot") = Some(value);
-            out.done.notify_all();
-        });
-        TaskHandle { cell }
-    }
-
-    /// Runs every thunk and returns their results in input order. The
-    /// calling thread *participates*: it queues the thunks (own deque
-    /// for a worker, injector otherwise) and then executes pool jobs —
-    /// its own batch or any other queued work — until the batch is
-    /// complete. Safe to call from inside a pool job; the caller can
-    /// never deadlock waiting for itself, and a batch queued by one
-    /// worker is stolen by idle ones.
-    pub fn run_many<T, F>(&self, thunks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let n = thunks.len();
-        if n == 0 {
-            return Vec::new();
+        let mut queue = self.shared.queue.lock().expect("pool queue");
+        if !queue.shutdown {
+            queue.jobs.push_back(job);
+            self.shared.wake.notify_one();
         }
-        struct Batch<T> {
-            slots: Vec<Mutex<Option<T>>>,
-            remaining: AtomicUsize,
-        }
-        let batch = Arc::new(Batch {
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            remaining: AtomicUsize::new(n),
-        });
-        for (i, thunk) in thunks.into_iter().enumerate() {
-            let batch = Arc::clone(&batch);
-            self.shared.push(Box::new(move || {
-                let value = thunk();
-                *batch.slots[i].lock().expect("run_many slot") = Some(value);
-                batch.remaining.fetch_sub(1, Ordering::Release);
-            }));
-        }
-        // Participate until the whole batch is done. When no work is
-        // available (the last jobs are mid-flight on other workers),
-        // back off briefly instead of burning a core.
-        let me = WORKER.with(|w| w.get()).and_then(|(pool, idx)| {
-            if pool == self.shared.id {
-                Some(idx)
-            } else {
-                None
-            }
-        });
-        while batch.remaining.load(Ordering::Acquire) > 0 {
-            match self.shared.find_work(me) {
-                Some(job) => {
-                    self.shared.caller_runs.fetch_add(1, Ordering::Relaxed);
-                    self.shared.run(job);
-                }
-                None => std::thread::sleep(std::time::Duration::from_micros(100)),
-            }
-        }
-        // A worker may still hold its Arc clone for an instant after
-        // the final decrement (the closure drops after the store), so
-        // results are taken through the locks, not by unwrapping the
-        // Arc.
-        batch
-            .slots
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("run_many slot poisoned")
-                    .take()
-                    .expect("all batch jobs completed")
-            })
-            .collect()
+        TaskHandle { result: handle }
     }
 
     /// Current traffic counters.
@@ -291,26 +118,16 @@ impl WorkerPool {
         PoolStats {
             workers: self.worker_count,
             executed: self.shared.executed.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
             parks: self.shared.parks.load(Ordering::Relaxed),
-            caller_runs: self.shared.caller_runs.load(Ordering::Relaxed),
-            queue_depth: self.shared.pending.load(Ordering::Relaxed),
+            queue_depth: self.shared.queue.lock().expect("pool queue").jobs.len(),
         }
     }
 
-    /// Drains all queued work, stops the workers, and joins them. The
-    /// pool accepts no work afterwards (jobs pushed after shutdown are
-    /// executed by nobody); callers sequence submissions before this.
+    /// Drains all queued work, stops the workers, and joins them.
     /// Idempotent, and callable through shared references (the daemon
     /// holds the pool in an `Arc`).
     pub fn shutdown(&self) {
-        {
-            let mut park = self.shared.park.lock().expect("pool park");
-            if park.shutdown {
-                return;
-            }
-            park.shutdown = true;
-        }
+        self.shared.queue.lock().expect("pool queue").shutdown = true;
         self.shared.wake.notify_all();
         let handles: Vec<_> = self
             .workers
@@ -330,176 +147,97 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(shared: &Shared, idx: usize) {
-    WORKER.with(|w| w.set(Some((shared.id, idx))));
+fn worker_loop(shared: &Shared) {
     loop {
-        if let Some(job) = shared.find_work(Some(idx)) {
-            shared.run(job);
-            continue;
-        }
-        let park = shared.park.lock().expect("pool park");
-        if park.shutdown {
-            // Drain-then-exit: leave the lock, take any straggler work,
-            // and only stop once every queue is empty.
-            drop(park);
-            match shared.find_work(Some(idx)) {
-                Some(job) => shared.run(job),
-                None => return,
+        let job = {
+            let mut queue = shared.queue.lock().expect("pool queue");
+            loop {
+                if let Some(job) = queue.jobs.pop_front() {
+                    shared.executed.fetch_add(1, Ordering::Relaxed);
+                    break job;
+                }
+                if queue.shutdown {
+                    return;
+                }
+                shared.parks.fetch_add(1, Ordering::Relaxed);
+                queue = shared.wake.wait(queue).expect("pool queue");
             }
-            continue;
-        }
-        if shared.pending.load(Ordering::Relaxed) == 0 {
-            shared.parks.fetch_add(1, Ordering::Relaxed);
-            let _unused = shared
-                .wake
-                .wait_timeout(park, std::time::Duration::from_millis(50))
-                .expect("pool park");
-        }
+        };
+        // A panic unwinds only the job: its result sender drops unsent,
+        // which is how its waiter learns of it.
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
-}
-
-/// Completion cell behind [`TaskHandle`].
-struct TaskCell<T> {
-    slot: Mutex<Option<T>>,
-    done: Condvar,
 }
 
 /// Handle to a [`WorkerPool::submit`] job's result.
 pub struct TaskHandle<T> {
-    cell: Arc<TaskCell<T>>,
+    result: mpsc::Receiver<T>,
 }
 
 impl<T> TaskHandle<T> {
-    /// Blocks until the job completes and returns its result.
-    pub fn wait(self) -> T {
-        let mut slot = self.cell.slot.lock().expect("task slot");
-        while slot.is_none() {
-            slot = self.cell.done.wait(slot).expect("task slot");
-        }
-        slot.take().expect("checked above")
+    /// Blocks until the job finishes and returns its result, or `Err`
+    /// when it panicked or never ran.
+    pub fn wait(self) -> Result<T, mpsc::RecvError> {
+        self.result.recv()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-    use std::sync::Barrier;
 
     #[test]
-    fn executes_every_job() {
-        let pool = WorkerPool::new(4);
-        let counter = Arc::new(AtomicU32::new(0));
-        let handles: Vec<_> = (0..100)
-            .map(|_| {
-                let counter = Arc::clone(&counter);
-                pool.submit(move || counter.fetch_add(1, Ordering::Relaxed))
+    fn jobs_run_in_submission_order_and_return_results() {
+        let pool = WorkerPool::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let handles: Vec<_> = (0..16)
+            .map(|i| {
+                let order = Arc::clone(&order);
+                pool.submit(move || {
+                    order.lock().expect("order").push(i);
+                    i * 2
+                })
             })
             .collect();
-        for h in handles {
-            h.wait();
+        let results: Vec<_> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
+        assert_eq!(results, (0..16).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(*order.lock().expect("order"), (0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn every_job_runs_and_idle_workers_park() {
+        let pool = WorkerPool::new(4);
+        let handles: Vec<_> = (0..100).map(|i| pool.submit(move || i)).collect();
+        let sum: u32 = handles.into_iter().map(|h| h.wait().unwrap()).sum();
+        assert_eq!(sum, 4950);
+        let stats = pool.stats();
+        assert_eq!((stats.executed, stats.queue_depth), (100, 0));
+        for _ in 0..100 {
+            if pool.stats().parks >= 4 {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert_eq!(pool.stats().executed, 100);
+        panic!("idle workers must park, stats: {:?}", pool.stats());
     }
 
     #[test]
-    fn submit_returns_results() {
-        let pool = WorkerPool::new(2);
-        let h1 = pool.submit(|| 6 * 7);
-        let h2 = pool.submit(|| "text".to_string());
-        assert_eq!(h1.wait(), 42);
-        assert_eq!(h2.wait(), "text");
-    }
-
-    #[test]
-    fn run_many_preserves_input_order() {
-        let pool = WorkerPool::new(3);
-        let thunks: Vec<_> = (0..32).map(|i| move || i * 2).collect();
-        let results = pool.run_many(thunks);
-        assert_eq!(results, (0..32).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batch_from_one_worker_is_stolen_by_others() {
-        // A job on worker A fans out a batch whose jobs all rendezvous
-        // on one barrier. The batch lands on A's own deque; A itself
-        // can run at most one job at a time, so the barrier can only be
-        // crossed if other workers STEAL the rest. A hang here means
-        // stealing is broken (the test would time out).
-        const FAN: usize = 4;
-        let pool = Arc::new(WorkerPool::new(FAN));
-        let inner = Arc::clone(&pool);
-        let results = pool
-            .submit(move || {
-                let barrier = Arc::new(Barrier::new(FAN));
-                let thunks: Vec<_> = (0..FAN)
-                    .map(|i| {
-                        let barrier = Arc::clone(&barrier);
-                        move || {
-                            barrier.wait();
-                            i
-                        }
-                    })
-                    .collect();
-                inner.run_many(thunks)
-            })
-            .wait();
-        assert_eq!(results, vec![0, 1, 2, 3]);
-        assert!(
-            pool.stats().steals >= FAN as u64 - 1,
-            "batch must have been stolen, stats: {:?}",
-            pool.stats()
-        );
-        // The barrier needs all FAN jobs in flight at once; with the
-        // other workers each blocked on one, the run_many caller must
-        // have executed at least one itself.
-        assert!(
-            pool.stats().caller_runs >= 1,
-            "caller participation must be counted, stats: {:?}",
-            pool.stats()
-        );
-    }
-
-    #[test]
-    fn parks_accumulate_and_queue_drains() {
-        let pool = WorkerPool::new(2);
-        pool.run_many((0..8).map(|i| move || i).collect::<Vec<_>>());
-        assert_eq!(pool.stats().queue_depth, 0, "no work left queued");
-        // Idle workers park on the condvar (50 ms timeout); give them
-        // a couple of cycles.
-        std::thread::sleep(std::time::Duration::from_millis(120));
-        assert!(
-            pool.stats().parks > 0,
-            "idle workers must park, stats: {:?}",
-            pool.stats()
-        );
-    }
-
-    #[test]
-    fn run_many_works_from_outside_the_pool() {
-        let pool = WorkerPool::new(2);
-        let results = pool.run_many((0..8).map(|i| move || i + 1).collect::<Vec<_>>());
-        assert_eq!(results, (1..=8).collect::<Vec<_>>());
+    fn a_panicking_job_fails_its_handle_and_the_worker_survives() {
+        let pool = WorkerPool::new(1);
+        let failed = pool.submit(|| -> u32 { panic!("injected job panic") });
+        assert!(failed.wait().is_err(), "a panicked job has no result");
+        assert_eq!(pool.submit(|| 7).wait(), Ok(7), "the one worker lives on");
+        assert_eq!(pool.stats().executed, 2);
     }
 
     #[test]
     fn shutdown_drains_queued_work_and_joins() {
         let pool = WorkerPool::new(2);
-        let counter = Arc::new(AtomicU32::new(0));
-        for _ in 0..50 {
-            let counter = Arc::clone(&counter);
-            pool.execute(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
+        let handles: Vec<_> = (0..50).map(|i| pool.submit(move || i)).collect();
         pool.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 50, "shutdown must drain");
-        assert!(
-            pool.workers.lock().expect("pool handles").is_empty(),
-            "all workers joined"
-        );
-        // Idempotent.
-        pool.shutdown();
+        assert!(pool.workers.lock().expect("pool handles").is_empty());
+        assert!(handles.into_iter().all(|h| h.wait().is_ok()), "drained");
+        assert!(pool.submit(|| 1).wait().is_err(), "no work after shutdown");
+        pool.shutdown(); // idempotent
     }
 }

@@ -326,7 +326,7 @@ pub enum Response {
     Err {
         /// Stable machine-readable category (`malformed-request`,
         /// `bad-request`, `model-error`, `oversized-frame`,
-        /// `shutting-down`).
+        /// `shutting-down`, `internal`).
         code: String,
         /// Human-readable description.
         message: String,

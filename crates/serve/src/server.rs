@@ -1,12 +1,13 @@
 //! The TCP daemon: accept loop, per-connection framing, shutdown.
 //!
 //! Threading model: one accept thread, one lightweight thread per
-//! connection, and all actual work on the shared
+//! connection, and all actual work on the shared FIFO
 //! [`WorkerPool`](crate::pool::WorkerPool). A connection thread only
 //! frames bytes — it decodes a request, submits it to the pool, blocks
 //! on the result, and writes the response frame — so a slow request
 //! never stalls the accept loop, and concurrency is bounded by the
-//! pool, not the connection count.
+//! pool, not the connection count. A request whose job panics is
+//! answered with an `internal` error, and the connection stays open.
 //!
 //! Each request job runs under its own `fosm_obs` scoped registry
 //! (per-request span roots and counters, no cross-request bleed) and
@@ -341,7 +342,18 @@ fn serve_connection(
                     fosm_obs::global().absorb(&snap);
                     (response, snap, queue_us, micros(started.elapsed()))
                 });
-                let (response, snap, queue_us, job_us) = task.wait();
+                // A job that panicked leaves no result: the request
+                // gets a structured error, charged as all execute time.
+                let (response, snap, queue_us, job_us) = task.wait().unwrap_or_else(|_| {
+                    let why = format!("the {kind} request panicked (see the daemon's stderr)");
+                    let waited = micros(submitted.elapsed());
+                    (
+                        Response::err("internal", why),
+                        Default::default(),
+                        0,
+                        waited,
+                    )
+                });
                 service.telemetry().absorb(&snap);
                 let batch_wait_us = snap
                     .counters
@@ -532,7 +544,7 @@ mod tests {
             Response::Err { code, message } => panic!("telemetry failed {code}: {message}"),
         };
         let v: serde::Value = serde_json::from_str(body.trim_end()).expect("telemetry is JSON");
-        assert_eq!(num(v.get("fosm_telemetry").expect("schema tag")), 1);
+        assert_eq!(num(v.get("fosm_telemetry").expect("schema tag")), 2);
 
         // Phase histograms reconcile per request kind: the disjoint
         // sub-phases can never sum past the measured total.

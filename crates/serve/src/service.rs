@@ -11,9 +11,11 @@
 //! into the existing pipeline (workload specs, probes, the memoizing
 //! artifact store, the first-order model) and render with the same
 //! format strings as `crates/cli`. Concurrency lives in the layers
-//! this service composes — the [`Batcher`](crate::batch::Batcher)
-//! coalesces same-trace profile work, and `explore` fans its grid
-//! shards out over the [`WorkerPool`](crate::pool::WorkerPool).
+//! this service composes: the [`WorkerPool`](crate::pool::WorkerPool)
+//! runs each request on one worker, in arrival order, and the
+//! [`Batcher`](crate::batch::Batcher) coalesces same-trace profile
+//! work. A request never fans out over the pool; `explore` sweeps its
+//! whole grid on its own worker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +30,7 @@ use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_validate::ToleranceSpec;
 use fosm_workloads::BenchmarkSpec;
 
-use crate::batch::{BatchStats, Batcher};
+use crate::batch::{BatchStats, Batcher, LEADER_PANICKED};
 use crate::pool::{PoolStats, WorkerPool};
 use crate::proto::{ExploreRequest, ProfileRequest, Request, Response, ValidateRequest};
 use crate::telemetry::{Telemetry, TELEMETRY_SCHEMA_VERSION};
@@ -45,7 +47,7 @@ pub struct Service {
 impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
-            .field("pool", &self.pool)
+            .field("pool", &self.pool.stats())
             .finish_non_exhaustive()
     }
 }
@@ -142,7 +144,7 @@ impl Service {
         let profile = self
             .batcher
             .profile(&self.store, &params, probe, &spec, p.insts, p.seed)
-            .map_err(|e| Response::err("model-error", e))?;
+            .map_err(batch_error)?;
         Ok((params, profile))
     }
 
@@ -196,8 +198,7 @@ impl Service {
         Ok(report.render_table())
     }
 
-    /// `explore`: a grid sweep sharded over the worker pool (one shard
-    /// per width-axis value), answered as a frontier summary plus CSV.
+    /// `explore`: a grid sweep answered as a frontier summary plus CSV.
     fn explore(&self, e: &ExploreRequest) -> Result<String, Response> {
         let spec = find_benchmark(&e.bench).map_err(|err| Response::err("bad-request", err))?;
         let base = fosm_explore::MachineGrid::baseline_sweep();
@@ -227,46 +228,18 @@ impl Service {
         let profile = self
             .batcher
             .profile(&self.store, &params, probe, &spec, e.insts, e.seed)
-            .map_err(|err| Response::err("model-error", err))?;
+            .map_err(batch_error)?;
 
-        // One shard per width-axis value: 'static thunks over Arc'd
-        // inputs, fanned out on the pool (the calling worker
-        // participates, so this is safe from inside a request job).
+        // One sweep over the whole grid, on this request's own worker.
         let model = FirstOrderModel::new(params);
-        let thunks: Vec<_> = grid
-            .widths
-            .iter()
-            .map(|&width| {
-                let model = model.clone();
-                let profile = Arc::clone(&profile);
-                let subgrid = fosm_explore::MachineGrid {
-                    widths: vec![width],
-                    ..grid.clone()
-                };
-                move || {
-                    fosm_explore::sweep_profile(
-                        &model,
-                        &profile,
-                        &subgrid,
-                        &variant,
-                        fosm_explore::ShardTag {
-                            workload: 0,
-                            variant: 0,
-                        },
-                    )
-                    .map_err(|err| err.to_string())
-                }
-            })
-            .collect();
-        let shards = self
-            .pool
-            .run_many(thunks)
-            .into_iter()
-            .collect::<Result<Vec<_>, String>>()
-            .map_err(|err| Response::err("model-error", err))?;
-
-        let configs: u64 = shards.iter().map(|s| s.configs).sum();
-        let frontier = fosm_explore::merge_frontiers(&shards);
+        let tag = fosm_explore::ShardTag {
+            workload: 0,
+            variant: 0,
+        };
+        let fosm_explore::ShardResult {
+            configs, frontier, ..
+        } = fosm_explore::sweep_profile(&model, &profile, &grid, &variant, tag)
+            .map_err(|err| Response::err("model-error", err.to_string()))?;
         let workload_names = vec![e.bench.clone()];
         let rows = fosm_explore::frontier_rows(frontier.points(), &workload_names, &variants);
         let mut out = format!(
@@ -291,7 +264,6 @@ impl Service {
             ("serve.requests", self.requests.load(Ordering::Relaxed)),
             ("pool.workers", pool.workers as u64),
             ("pool.executed", pool.executed),
-            ("pool.steals", pool.steals),
             ("batch.passes", batch.passes),
             ("batch.coalesced", batch.coalesced),
             ("store.trace_hit", store.trace_hits),
@@ -312,8 +284,8 @@ impl Service {
     /// `telemetry`: one line of schema-versioned JSON — request totals,
     /// pool/batch traffic, per-kind phase histograms, and the flight
     /// recorder. Unlike `stats` (a frozen byte interface), this body
-    /// is versioned by its `fosm_telemetry` field and may grow fields
-    /// within a version.
+    /// is versioned by its `fosm_telemetry` field: it may grow fields
+    /// within a version, and dropping one bumps the version.
     fn telemetry_body(&self) -> String {
         let pool: PoolStats = self.pool.stats();
         let batch: BatchStats = self.batcher.stats();
@@ -336,9 +308,7 @@ impl Service {
         for (i, (key, value)) in [
             ("workers", pool.workers as u64),
             ("executed", pool.executed),
-            ("steals", pool.steals),
             ("parks", pool.parks),
-            ("caller_runs", pool.caller_runs),
             ("queue_depth", pool.queue_depth as u64),
         ]
         .into_iter()
@@ -363,6 +333,17 @@ impl Service {
         out.push_str("}\n");
         out
     }
+}
+
+/// A batcher failure as a response: a panicked batch leader is the
+/// daemon's fault (`internal`), anything else the model's.
+fn batch_error(message: String) -> Response {
+    let code = if message == LEADER_PANICKED {
+        "internal"
+    } else {
+        "model-error"
+    };
+    Response::err(code, message)
 }
 
 /// Looks up a built-in benchmark by name (same error text as the CLI).
@@ -411,7 +392,7 @@ pub fn render_estimate(name: &str, est: &Estimate) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::MachineSpec;
+    use crate::proto::{encode_response, MachineSpec};
 
     fn test_service() -> Service {
         Service::new(Arc::new(ArtifactStore::new()), 2, Duration::ZERO)
@@ -514,6 +495,41 @@ mod tests {
     }
 
     #[test]
+    fn explore_bytes_are_pinned() {
+        // FNV-1a digests of the encoded response frames, recorded
+        // when explore still swept one shard per width and merged.
+        let service = test_service();
+        let baseline = ExploreRequest {
+            bench: "gzip".into(),
+            insts: 20_000,
+            seed: 42,
+            widths: vec![],
+            windows: vec![],
+            robs: vec![],
+            depths: vec![],
+            l2s: vec![],
+            mems: vec![],
+        };
+        let custom = ExploreRequest {
+            widths: vec![2, 8],
+            windows: vec![32],
+            ..baseline.clone()
+        };
+        for (req, digest) in [
+            (baseline, 0xd0a6_a082_d95d_724f),
+            (custom, 0x1a36_f694_e037_7cb1),
+        ] {
+            let frame = encode_response(&service.execute(&Request::Explore(req)));
+            assert_eq!(
+                fosm_trace::fnv1a64(&frame),
+                digest,
+                "{}",
+                String::from_utf8_lossy(&frame)
+            );
+        }
+    }
+
+    #[test]
     fn telemetry_body_is_schema_versioned_json() {
         let service = test_service();
         service.execute(&Request::Ping);
@@ -530,12 +546,12 @@ mod tests {
             cache_hit: true,
         });
         let out = body(service.execute(&Request::Telemetry));
-        assert!(out.starts_with("{\"fosm_telemetry\":1,"));
+        assert!(out.starts_with("{\"fosm_telemetry\":2,"));
         assert!(out.ends_with("}\n"));
         let v: serde::Value = serde_json::from_str(out.trim_end()).expect("valid JSON");
         let pool = v.get("pool").expect("pool section");
         assert!(pool.get("queue_depth").is_some());
-        assert!(pool.get("caller_runs").is_some());
+        assert!(pool.get("steals").is_none() && pool.get("caller_runs").is_none());
         assert!(v.get("batch").and_then(|b| b.get("passes")).is_some());
         let hists = v.get("hists").expect("hists section");
         assert!(hists.get("serve.total_us.ping").is_some());

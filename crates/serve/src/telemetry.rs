@@ -11,15 +11,16 @@
 //!
 //! Phase definitions (all microseconds, per request):
 //!
-//! * `queue_us` — submitted to the worker pool → a worker picked the
-//!   job up;
+//! * `queue_us` — submitted to the FIFO worker pool → a worker popped
+//!   the job, i.e. the wait behind every request queued before it;
 //! * `batch_wait_us` — wall-clock the job spent parked inside the
 //!   [`Batcher`](crate::batch::Batcher) (follower waiting for its
 //!   leader's broadcast, or leader waiting out the batching window);
 //!   0 for a request whose profile was already in memory, which never
 //!   enters a batch;
 //! * `exec_us` — job wall-clock minus `batch_wait_us`: time actually
-//!   computing;
+//!   computing this request, and only this one (a job runs one request
+//!   on one worker, and never runs another request's work);
 //! * `respond_us` — writing the response frame;
 //! * `total_us` — request frame fully read → response frame written.
 //!
@@ -40,8 +41,9 @@ use fosm_obs::json::push_str_literal;
 use fosm_obs::Registry;
 
 /// Version tag of the telemetry snapshot schema (the `fosm_telemetry`
-/// field of the JSON body).
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 1;
+/// field of the JSON body). Version 2 dropped the pool's `steals` and
+/// `caller_runs` fields, which the FIFO pool no longer has.
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 2;
 
 /// Default flight-recorder capacity (records kept).
 pub const DEFAULT_FLIGHT_CAP: usize = 256;

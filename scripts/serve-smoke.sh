@@ -57,7 +57,7 @@ echo "--- daemon stats ---"
 SNAPSHOT="${TELEMETRY_OUT:-$PWD/telemetry-snapshot.json}"
 "$FOSM" top --addr "$ADDR" --once --json > "$WORK/telemetry.json"
 cp "$WORK/telemetry.json" "$SNAPSHOT"
-for needle in '"fosm_telemetry":1' \
+for needle in '"fosm_telemetry":2' \
               '"serve.queue_us.profile"' \
               '"serve.exec_us.model"' \
               '"serve.total_us.profile"' \
