@@ -25,7 +25,6 @@ fn main() {
     let params9 = params5.clone().with_pipe_depth(9);
     let store = ArtifactStore::global();
     let rows = par::par_map_benchmarks(&BenchmarkSpec::all(), |spec| {
-        let profile = store.profile(&params5, &spec.name, spec, n, harness::SEED);
         let mut sim_penalty = [0.0f64; 2];
         for (slot, depth) in [5u32, 9].into_iter().enumerate() {
             let real = store.simulate(
@@ -45,6 +44,9 @@ fn main() {
             sim_penalty[slot] =
                 (real.cycles - ideal.cycles) as f64 / real.mispredicts.max(1) as f64;
         }
+        // After the simulations, so the profile replays the trace they
+        // recorded instead of generating it a second time.
+        let profile = store.profile(&params5, &spec.name, spec, n, harness::SEED);
         (spec.name.clone(), sim_penalty, profile)
     });
     for (name, sim_penalty, profile) in rows {

@@ -282,9 +282,9 @@ pub fn profile_many(
     profile_many_from(params, bank, &mut trace.replay())
 }
 
-/// Like [`profile_many`], over any replay source — the corpus paths
-/// feed a paged [`fosm_trace::FileReplay`] here instead of an in-memory
-/// trace.
+/// Like [`profile_many`], over any bounded source — the corpus paths
+/// feed a paged [`fosm_trace::FileReplay`] here, and a cold workload
+/// profile its generator, instead of an in-memory trace.
 ///
 /// # Errors
 ///

@@ -9,7 +9,8 @@
 //! `(trace, config)` — so the store memoizes them behind [`Arc`]s:
 //!
 //! * [`ArtifactStore::trace`] — recorded traces, keyed
-//!   `(spec, seed, len)`;
+//!   `(spec, seed, len)`, for the simulator, which replays one several
+//!   times (a cold profile streams the generator instead);
 //! * [`ArtifactStore::simulate`] — detailed-simulator reports, keyed
 //!   `(trace key, machine config)`;
 //! * [`ArtifactStore::profile`] — functional profiles, keyed
@@ -34,8 +35,8 @@ use fosm_core::params::ProcessorParams;
 use fosm_core::profile::{Probe, ProbeBank, ProgramProfile};
 use fosm_core::ModelError;
 use fosm_sim::{MachineConfig, SimReport};
-use fosm_trace::{CorpusFile, PackedTrace};
-use fosm_workloads::BenchmarkSpec;
+use fosm_trace::{CorpusFile, PackedTrace, TraceSource};
+use fosm_workloads::{BenchmarkSpec, SyntheticProgram, WorkloadGenerator};
 
 use crate::disk::DiskCache;
 use crate::harness;
@@ -70,7 +71,9 @@ impl Counter {
 /// A snapshot of the store's traffic, for diagnostics output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Trace lookups served from memory / recorded fresh.
+    /// Trace lookups served from memory. Only simulations and explicit
+    /// [`ArtifactStore::trace`] calls look a trace up; profiles either
+    /// replay a held trace uncounted or stream the generator.
     pub trace_hits: u64,
     /// Traces recorded because no memoized copy existed.
     pub trace_misses: u64,
@@ -126,6 +129,10 @@ type TracedRun = (SimReport, Vec<fosm_sim::TraceEvent>);
 #[derive(Default)]
 pub struct ArtifactStore {
     traces: Mutex<HashMap<TraceKey, Arc<PackedTrace>>>,
+    /// Built static programs, keyed by the exact spec rendering: a
+    /// streamed profile walks one without rebuilding it, so the probes
+    /// of one key profiled one request at a time build it once.
+    programs: Mutex<HashMap<String, Arc<SyntheticProgram>>>,
     reports: Mutex<HashMap<(TraceKey, String), Arc<SimReport>>>,
     traced: Mutex<HashMap<(TraceKey, String), Arc<TracedRun>>>,
     profiles: Mutex<HashMap<ProfileKey, Arc<ProgramProfile>>>,
@@ -175,7 +182,8 @@ impl ArtifactStore {
     /// The benchmark's recorded trace (packed SoA layout), recording
     /// it on first use. Memory only: the disk cache never holds traces,
     /// because generating one from `(spec, n, seed)` is cheaper than
-    /// loading it back.
+    /// loading it back. Simulation records through here; a cold
+    /// profile does not (see [`profile_many`](Self::profile_many)).
     pub fn trace(&self, spec: &BenchmarkSpec, n: u64, seed: u64) -> Arc<PackedTrace> {
         memo(
             &self.traces,
@@ -296,7 +304,12 @@ impl ArtifactStore {
     /// One functional profile per probe in `bank` (bank order), keyed
     /// individually: memoized probes are served from the store, and
     /// all missing probes are collected together in a **single fused
-    /// replay** (see [`harness::profile_many`]).
+    /// pass** (see [`harness::profile_many`]).
+    ///
+    /// The pass replays the trace if the traces table already holds
+    /// it (a simulation of the same key recorded it). Otherwise the
+    /// generator streams straight into the profiler and no trace is
+    /// built or kept. Neither case counts as trace traffic.
     ///
     /// # Errors
     ///
@@ -309,10 +322,33 @@ impl ArtifactStore {
         n: u64,
         seed: u64,
     ) -> Result<Vec<Arc<ProgramProfile>>, ModelError> {
-        self.profile_many_keyed(params, bank, &trace_key(spec, n, seed), |sub_bank| {
-            let trace = self.trace(spec, n, seed);
-            harness::profile_many(params, sub_bank, &trace)
+        let tkey = trace_key(spec, n, seed);
+        self.profile_many_keyed(params, bank, &tkey, |sub_bank| {
+            let held = self.traces.lock().expect("store lock").get(&tkey).cloned();
+            match held {
+                Some(trace) => harness::profile_many(params, sub_bank, &trace),
+                None => {
+                    let mut generator = self.generator(spec, seed);
+                    harness::profile_many_from(params, sub_bank, &mut generator.take(n))
+                }
+            }
         })
+    }
+
+    /// A generator of `(spec, seed)` over the memoized program of
+    /// `spec`, building the program on first use. Program builds are
+    /// not reported store traffic.
+    fn generator(&self, spec: &BenchmarkSpec, seed: u64) -> WorkloadGenerator {
+        let program = Arc::clone(
+            self.programs
+                .lock()
+                .expect("store lock")
+                .entry(format!("{spec:?}"))
+                .or_insert_with(|| {
+                    Arc::new(SyntheticProgram::build(spec).expect("invalid benchmark spec"))
+                }),
+        );
+        WorkloadGenerator::from_program(program, seed)
     }
 
     /// The memoized profile of `probe` on `(spec, n, seed)` under
@@ -374,7 +410,7 @@ impl ArtifactStore {
     /// The memoization core shared by the workload and corpus profile
     /// paths: serves per-probe hits from memory, reads the rest through
     /// the disk cache, and hands only the probes absent from both
-    /// layers to `fill` for a single fused replay.
+    /// layers to `fill` for a single fused pass.
     fn profile_many_keyed(
         &self,
         params: &ProcessorParams,
@@ -860,6 +896,36 @@ mod tests {
         assert_eq!(s.profile_hits, 1);
         assert_eq!(s.profile_misses, 2);
         assert_eq!(s.profile_inserts, 2);
+    }
+
+    #[test]
+    fn cold_profiles_stream_and_replay_only_a_held_trace() {
+        let store = ArtifactStore::new();
+        let spec = BenchmarkSpec::gzip();
+        let params = harness::params_of(&MachineConfig::baseline());
+        let streamed = store.profile(&params, "streamed", &spec, 3_000, harness::SEED);
+        assert!(store.traces.lock().unwrap().is_empty(), "no trace kept");
+        assert_eq!(
+            store.stats().trace_misses,
+            0,
+            "streaming is no trace traffic"
+        );
+
+        // Once a simulation holds the trace, a profile replays it,
+        // uncounted, and gets the same answer.
+        store.simulate(&MachineConfig::baseline(), &spec, 3_000, harness::SEED);
+        let before = store.stats();
+        let replayed = store.profile(&params, "replayed", &spec, 3_000, harness::SEED);
+        let after = store.stats();
+        assert_eq!(
+            (after.trace_hits, after.trace_misses),
+            (before.trace_hits, before.trace_misses)
+        );
+        let strip = |p: &ProgramProfile| ProgramProfile {
+            name: String::new(),
+            ..p.clone()
+        };
+        assert_eq!(strip(&streamed), strip(&replayed));
     }
 
     #[test]

@@ -101,6 +101,7 @@ impl LongMissRecorder {
     }
 
     /// Number of long misses recorded.
+    #[inline]
     pub fn count(&self) -> u64 {
         self.indices.len() as u64
     }

@@ -104,6 +104,130 @@ impl Default for HierarchyConfig {
     }
 }
 
+/// One first-level cache as the hierarchy drives it: the demand
+/// access (an absent cache is ideal and hits), its hit/miss
+/// statistics, and on the data side the next-line prefetch installs.
+///
+/// This is the L1 step of [`Hierarchy::access`]. The hierarchy is not
+/// inclusive, so the L1 outcome never depends on the levels below it:
+/// any number of hierarchies with the same L1 configuration can share
+/// one `FirstLevel` over the same access stream, each feeding the
+/// outcome to its own [`SecondLevel`].
+#[derive(Debug, Clone)]
+pub struct FirstLevel {
+    cache: Option<Cache>,
+    stats: MissStats,
+    next_line_prefetch: u32,
+}
+
+impl FirstLevel {
+    /// The L1 `config` (`None` for an ideal L1) that installs
+    /// `next_line_prefetch` sequential lines behind every access (0 for
+    /// the instruction side, which never prefetches).
+    pub fn new(config: Option<CacheConfig>, next_line_prefetch: u32) -> Self {
+        FirstLevel {
+            cache: config.map(Cache::new),
+            stats: MissStats::new(),
+            next_line_prefetch,
+        }
+    }
+
+    /// The L1 step of one access: returns `true` on an L1 hit.
+    #[inline]
+    pub fn access(&mut self, addr: u64) -> bool {
+        let Some(cache) = &mut self.cache else {
+            self.stats.record(true);
+            return true;
+        };
+        let hit = cache.access(addr);
+        self.stats.record(hit);
+        // Next-line "always" prefetch: every data access pulls the
+        // following lines in behind it (statistics untouched; future
+        // demand accesses to them hit).
+        let line = cache.config().line_bytes() as u64;
+        for k in 1..=self.next_line_prefetch as u64 {
+            cache.install(addr.saturating_add(k * line));
+        }
+        hit
+    }
+
+    /// Accesses and misses of this level (an ideal level counts every
+    /// access as a hit).
+    pub fn stats(&self) -> &MissStats {
+        &self.stats
+    }
+
+    /// Invalidates the cache and resets the statistics.
+    pub fn flush(&mut self) {
+        if let Some(cache) = &mut self.cache {
+            cache.flush();
+        }
+        self.stats.reset();
+    }
+}
+
+/// Everything below the first level: the unified L2 (`None` is ideal:
+/// every L1 miss is short) and the L2 half of next-line prefetch. This
+/// is the below-L1 step of [`Hierarchy::access`].
+#[derive(Debug, Clone)]
+pub struct SecondLevel {
+    cache: Option<Cache>,
+    /// Lines installed behind each data access: the hierarchy's
+    /// prefetch depth when it has an L1D, else 0.
+    next_line_prefetch: u32,
+    /// The L1D line size the prefetched lines step by.
+    line_bytes: u64,
+}
+
+impl SecondLevel {
+    /// The levels below L1 of `config`.
+    pub fn new(config: &HierarchyConfig) -> Self {
+        SecondLevel {
+            cache: config.l2.map(Cache::new),
+            next_line_prefetch: config.l1d.map_or(0, |_| config.next_line_prefetch),
+            line_bytes: config.l1d.map_or(0, |l1d| l1d.line_bytes() as u64),
+        }
+    }
+
+    /// The below-L1 step of one access whose L1 step returned `l1_hit`:
+    /// a data access installs its prefetched lines, and an L1 miss
+    /// then accesses the L2.
+    #[inline]
+    pub fn access(&mut self, kind: AccessKind, addr: u64, l1_hit: bool) -> AccessOutcome {
+        let Some(cache) = &mut self.cache else {
+            return if l1_hit {
+                AccessOutcome::L1
+            } else {
+                AccessOutcome::L2
+            };
+        };
+        if kind != AccessKind::IFetch {
+            for k in 1..=self.next_line_prefetch as u64 {
+                cache.install(addr.saturating_add(k * self.line_bytes));
+            }
+        }
+        if l1_hit {
+            AccessOutcome::L1
+        } else if cache.access(addr) {
+            AccessOutcome::L2
+        } else {
+            AccessOutcome::Memory
+        }
+    }
+
+    /// The L2's own statistics, if an L2 is configured.
+    pub fn stats(&self) -> Option<&MissStats> {
+        self.cache.as_ref().map(|c| c.stats())
+    }
+
+    /// Invalidates the L2 and resets its statistics.
+    pub fn flush(&mut self) {
+        if let Some(cache) = &mut self.cache {
+            cache.flush();
+        }
+    }
+}
+
 /// A two-level cache hierarchy: split L1 I/D over a unified L2.
 ///
 /// The hierarchy is *functional*: it models presence only, returning
@@ -125,11 +249,9 @@ impl Default for HierarchyConfig {
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     config: HierarchyConfig,
-    l1i: Option<Cache>,
-    l1d: Option<Cache>,
-    l2: Option<Cache>,
-    ifetch_stats: MissStats,
-    data_stats: MissStats,
+    l1i: FirstLevel,
+    l1d: FirstLevel,
+    l2: SecondLevel,
 }
 
 impl Hierarchy {
@@ -144,11 +266,9 @@ impl Hierarchy {
     pub fn new(config: HierarchyConfig) -> Result<Self, CacheError> {
         Ok(Hierarchy {
             config,
-            l1i: config.l1i.map(Cache::new),
-            l1d: config.l1d.map(Cache::new),
-            l2: config.l2.map(Cache::new),
-            ifetch_stats: MissStats::new(),
-            data_stats: MissStats::new(),
+            l1i: FirstLevel::new(config.l1i, 0),
+            l1d: FirstLevel::new(config.l1d, config.next_line_prefetch),
+            l2: SecondLevel::new(&config),
         })
     }
 
@@ -157,88 +277,71 @@ impl Hierarchy {
         &self.config
     }
 
-    /// Performs one access and reports where it was satisfied.
+    /// Performs one access and reports where it was satisfied: the L1
+    /// step ([`FirstLevel::access`]) then the below-L1 step
+    /// ([`SecondLevel::access`]).
     ///
     /// An ideal (absent) L1 hits every access. An ideal L2 turns every
     /// L1 miss into a short (L2) miss.
     pub fn access(&mut self, kind: AccessKind, addr: u64) -> AccessOutcome {
-        let (l1, stats) = match kind {
-            AccessKind::IFetch => (&mut self.l1i, &mut self.ifetch_stats),
-            AccessKind::Load | AccessKind::Store => (&mut self.l1d, &mut self.data_stats),
+        let l1 = match kind {
+            AccessKind::IFetch => &mut self.l1i,
+            AccessKind::Load | AccessKind::Store => &mut self.l1d,
         };
-        let l1_hit = match l1 {
-            Some(cache) => cache.access(addr),
-            None => true,
-        };
-        stats.record(l1_hit);
-        // Next-line "always" prefetch: every data access pulls the
-        // following lines in behind it (statistics untouched; future
-        // demand accesses to them hit).
-        if self.config.next_line_prefetch > 0
-            && matches!(kind, AccessKind::Load | AccessKind::Store)
-        {
-            if let Some(l1d) = &mut self.l1d {
-                let line = l1d.config().line_bytes() as u64;
-                for k in 1..=self.config.next_line_prefetch as u64 {
-                    let next = addr.saturating_add(k * line);
-                    l1d.install(next);
-                    if let Some(l2) = &mut self.l2 {
-                        l2.install(next);
-                    }
-                }
-            }
-        }
-        if l1_hit {
-            return AccessOutcome::L1;
-        }
-        let l2_hit = match &mut self.l2 {
-            Some(cache) => cache.access(addr),
-            None => true,
-        };
-        if l2_hit {
-            AccessOutcome::L2
-        } else {
-            AccessOutcome::Memory
-        }
+        let l1_hit = l1.access(addr);
+        self.l2.access(kind, addr, l1_hit)
     }
 
     /// Instruction-fetch L1 statistics (accesses and misses).
     pub fn ifetch_stats(&self) -> &MissStats {
-        &self.ifetch_stats
+        self.l1i.stats()
     }
 
     /// Data-access L1 statistics (loads + stores).
     pub fn data_stats(&self) -> &MissStats {
-        &self.data_stats
+        self.l1d.stats()
     }
 
     /// The L2 cache's own statistics, if an L2 is configured.
     pub fn l2_stats(&self) -> Option<&MissStats> {
-        self.l2.as_ref().map(|c| c.stats())
+        self.l2.stats()
     }
 
     /// Flushes every level's access/miss totals into `registry`
     /// under `<prefix>.l1i`, `<prefix>.l1d`, and `<prefix>.l2`.
     pub fn observe_into(&self, registry: &fosm_obs::Registry, prefix: &str) {
-        self.ifetch_stats
-            .observe_into(registry, &format!("{prefix}.l1i"));
-        self.data_stats
-            .observe_into(registry, &format!("{prefix}.l1d"));
-        if let Some(l2) = self.l2_stats() {
-            l2.observe_into(registry, &format!("{prefix}.l2"));
-        }
+        observe_levels(
+            registry,
+            prefix,
+            self.ifetch_stats(),
+            self.data_stats(),
+            self.l2_stats(),
+        );
     }
 
     /// Invalidates all levels and resets statistics.
     pub fn flush(&mut self) {
-        for c in [&mut self.l1i, &mut self.l1d, &mut self.l2]
-            .into_iter()
-            .flatten()
-        {
-            c.flush();
-        }
-        self.ifetch_stats.reset();
-        self.data_stats.reset();
+        self.l1i.flush();
+        self.l1d.flush();
+        self.l2.flush();
+    }
+}
+
+/// Flushes one hierarchy's per-level totals into `registry` under
+/// `<prefix>.l1i`, `<prefix>.l1d`, and (when there is an L2)
+/// `<prefix>.l2` — the one naming rule for the hierarchy's counters,
+/// whether its levels are owned or shared.
+pub fn observe_levels(
+    registry: &fosm_obs::Registry,
+    prefix: &str,
+    l1i: &MissStats,
+    l1d: &MissStats,
+    l2: Option<&MissStats>,
+) {
+    l1i.observe_into(registry, &format!("{prefix}.l1i"));
+    l1d.observe_into(registry, &format!("{prefix}.l1d"));
+    if let Some(l2) = l2 {
+        l2.observe_into(registry, &format!("{prefix}.l2"));
     }
 }
 

@@ -33,6 +33,10 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// log2 of the line size and of the set count (both powers of two,
+    /// enforced by [`CacheConfig::new`]): set and tag by shift and mask.
+    line_shift: u32,
+    set_shift: u32,
     ways: Vec<Way>, // num_sets * assoc, set-major
     clock: u64,
     rng: u64, // xorshift state for Replacement::Random
@@ -45,6 +49,8 @@ impl Cache {
         let slots = (config.num_sets() * config.assoc() as u64) as usize;
         Cache {
             config,
+            line_shift: config.line_bytes().trailing_zeros(),
+            set_shift: config.num_sets().trailing_zeros(),
             ways: vec![Way::default(); slots],
             clock: 0,
             rng: 0x9e37_79b9_7f4a_7c15,
@@ -81,14 +87,40 @@ impl Cache {
         &self.stats
     }
 
+    /// The (set index, tag) of a byte address: the same split as
+    /// [`CacheConfig::decompose`], without its divisions.
+    #[inline]
+    fn decompose(&self, addr: u64) -> (u64, u64) {
+        let line = addr >> self.line_shift;
+        (line & ((1 << self.set_shift) - 1), line >> self.set_shift)
+    }
+
     /// Accesses the line containing `addr`, allocating on miss.
     ///
     /// Returns `true` on hit. Loads, stores, and instruction fetches are
     /// treated identically (allocate-on-miss, no write-back modeling —
     /// only hit/miss behaviour affects the performance model).
     pub fn access(&mut self, addr: u64) -> bool {
+        let hit = self.touch(addr);
+        self.stats.record(hit);
+        hit
+    }
+
+    /// Installs the line containing `addr` without recording an access
+    /// (used for prefetch fills). A resident line is refreshed as
+    /// most-recently-used under LRU; an absent line allocates a victim
+    /// exactly like a demand miss, but neither case touches the
+    /// statistics.
+    pub fn install(&mut self, addr: u64) {
+        self.touch(addr);
+    }
+
+    /// The replacement-state half of [`access`](Self::access) and
+    /// [`install`](Self::install): refreshes a resident line, or fills
+    /// a victim way. Returns `true` if the line was resident.
+    fn touch(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        let (set, tag) = self.config.decompose(addr);
+        let (set, tag) = self.decompose(addr);
         let assoc = self.config.assoc() as usize;
         let base = set as usize * assoc;
         let set_ways = &mut self.ways[base..base + assoc];
@@ -97,7 +129,6 @@ impl Cache {
             if self.config.replacement() == Replacement::Lru {
                 way.stamp = self.clock;
             }
-            self.stats.record(true);
             return true;
         }
 
@@ -126,56 +157,13 @@ impl Cache {
             tag,
             stamp: self.clock,
         };
-        self.stats.record(false);
         false
-    }
-
-    /// Installs the line containing `addr` without recording an access
-    /// (used for prefetch fills). A resident line is refreshed as
-    /// most-recently-used under LRU; an absent line allocates a victim
-    /// exactly like a demand miss, but neither case touches the
-    /// statistics.
-    pub fn install(&mut self, addr: u64) {
-        self.clock += 1;
-        let (set, tag) = self.config.decompose(addr);
-        let assoc = self.config.assoc() as usize;
-        let base = set as usize * assoc;
-        let set_ways = &mut self.ways[base..base + assoc];
-        if let Some(way) = set_ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            if self.config.replacement() == Replacement::Lru {
-                way.stamp = self.clock;
-            }
-            return;
-        }
-        let victim = if let Some(i) = set_ways.iter().position(|w| !w.valid) {
-            i
-        } else {
-            match self.config.replacement() {
-                Replacement::Lru | Replacement::Fifo => set_ways
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.stamp)
-                    .map(|(i, _)| i)
-                    .expect("associativity is non-zero"),
-                Replacement::Random => {
-                    self.rng ^= self.rng >> 12;
-                    self.rng ^= self.rng << 25;
-                    self.rng ^= self.rng >> 27;
-                    (self.rng.wrapping_mul(0x2545_f491_4f6c_dd1d) % assoc as u64) as usize
-                }
-            }
-        };
-        set_ways[victim] = Way {
-            valid: true,
-            tag,
-            stamp: self.clock,
-        };
     }
 
     /// Checks whether the line containing `addr` is resident, without
     /// updating replacement state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.config.decompose(addr);
+        let (set, tag) = self.decompose(addr);
         let assoc = self.config.assoc() as usize;
         let base = set as usize * assoc;
         self.ways[base..base + assoc]
@@ -291,6 +279,30 @@ mod tests {
         c.access(128); // set 0 again -> evicts addr 0
         assert!(!c.probe(0));
         assert!(c.probe(64));
+    }
+
+    #[test]
+    fn shift_indexing_matches_the_config_split() {
+        for (size, assoc, line) in [
+            (4096, 4, 128),
+            (512 * 1024, 4, 128),
+            (1024, 8, 128),
+            (128, 1, 64),
+        ] {
+            let cache = Cache::with_geometry(size, assoc, line, Replacement::Lru).unwrap();
+            for addr in [
+                0,
+                63,
+                64,
+                127,
+                4095,
+                0x1234_5678,
+                0x7fff_0000_1238,
+                u64::MAX,
+            ] {
+                assert_eq!(cache.decompose(addr), cache.config().decompose(addr));
+            }
+        }
     }
 
     #[test]

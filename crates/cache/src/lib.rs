@@ -8,7 +8,9 @@
 //! * [`Cache`] — a single set-associative cache level with pluggable
 //!   replacement ([`Replacement`]),
 //! * [`Hierarchy`] — the paper's two-level hierarchy (split L1 I/D,
-//!   unified L2), with per-level idealization knobs,
+//!   unified L2), with per-level idealization knobs; its two steps,
+//!   [`FirstLevel`] and [`SecondLevel`], let several hierarchies share
+//!   one L1,
 //! * [`LongMissRecorder`] / [`BurstDistribution`] — the f_LDM(i)
 //!   distribution of paper eq. (8): how long data-cache misses cluster
 //!   within a reorder-buffer's worth of instructions.
@@ -42,7 +44,9 @@ mod tlb;
 pub use burst::{BurstDistribution, GroupingRule, LongMissRecorder};
 pub use config::{CacheConfig, Replacement};
 pub use error::CacheError;
-pub use hierarchy::{AccessKind, AccessOutcome, Hierarchy, HierarchyConfig};
+pub use hierarchy::{
+    observe_levels, AccessKind, AccessOutcome, FirstLevel, Hierarchy, HierarchyConfig, SecondLevel,
+};
 pub use level::Cache;
 pub use stats::MissStats;
 pub use tlb::{Tlb, TlbConfig};

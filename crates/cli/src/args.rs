@@ -201,10 +201,15 @@ pub static COMMANDS: &[Spec] = &[
         value("report", "P", "write the full JSON validation report to P"),
         switch("statsim", "also run the statistical-simulation baseline"),
         value("corpus", "LIST", "validate these comma-separated trace files instead"),
-        value("fuzz", "N", "differential-fuzz N random machines instead")
-            .excludes(&["check", "report", "baseline", "bench", "corpus", "statsim"]),
+        value("fuzz", "N", "differential-fuzz N random machines instead").excludes(&[
+            "check", "report", "baseline", "bench", "corpus", "statsim",
+            "width", "window", "rob", "depth", "l2", "mem", "seed", "threads",
+        ]),
         value("fuzz-seed", "S", "fuzzer RNG seed (0xF05A)").requires("fuzz"),
-        value("fuzz-repro", "J", "replay one fuzz case from its JSON form"),
+        value("fuzz-repro", "J", "replay one fuzz case from its JSON form").excludes(&[
+            "fuzz", "check", "report", "baseline", "bench", "corpus", "statsim", "tol",
+            "width", "window", "rob", "depth", "l2", "mem", "seed", "threads",
+        ]),
     ]},
     Spec { usage: "explore", run: commands::explore, shared: &[&GRID], flags: &[
         value("bench", "NAME", "workload to sweep; `all` for the suite (gzip)"),
@@ -681,6 +686,38 @@ mod tests {
                 &["validate", "--fuzz", "8", "--statsim"],
                 "excludes --statsim",
             ),
+            (
+                &["validate", "--fuzz", "1", "--width", "8"],
+                "--fuzz of `fosm validate` excludes --width",
+            ),
+            (
+                &["validate", "--fuzz", "1", "--mem", "400"],
+                "excludes --mem",
+            ),
+            (
+                &["validate", "--fuzz", "1", "--seed", "9"],
+                "excludes --seed",
+            ),
+            (
+                &["validate", "--fuzz", "1", "--threads", "1"],
+                "excludes --threads",
+            ),
+            (
+                &["validate", "--fuzz-repro", "{}", "--depth", "9"],
+                "--fuzz-repro of `fosm validate` excludes --depth",
+            ),
+            (
+                &["validate", "--fuzz-repro", "{}", "--seed", "9"],
+                "excludes --seed",
+            ),
+            (
+                &["validate", "--fuzz-repro", "{}", "--fuzz", "2"],
+                "excludes --fuzz",
+            ),
+            (
+                &["validate", "--fuzz-repro", "{}", "--tol", "x"],
+                "excludes --tol",
+            ),
         ] {
             let err = parse_err(argv);
             assert!(err.contains(needle), "{argv:?}: {err}");
@@ -689,6 +726,7 @@ mod tests {
         assert!(try_parse(&["simulate", "t.fct", "--clusters", "2", "--forward", "2"]).is_ok());
         assert!(try_parse(&["simulate", "t.fct", "--ideal", "--tlb", "8"]).is_ok());
         assert!(try_parse(&["validate", "--fuzz", "8", "--fuzz-seed", "1", "--tol", "x"]).is_ok());
+        assert!(try_parse(&["validate", "--fuzz-repro", "{}", "--insts", "3000"]).is_ok());
     }
 
     #[test]

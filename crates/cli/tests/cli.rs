@@ -587,6 +587,15 @@ fn explore_rejects_invalid_grids_up_front() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(err.contains("window"), "{err}");
+
+    // A depth past the machine maximum is caught the same way.
+    let out = fosm(&["explore", "--depths", "4294967295", "--insts", "5000"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        err.contains("`depths` value 4294967295 exceeds the pipe_depth maximum 256"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -136,6 +136,12 @@ fn client_errors_are_structured_and_nonzero() {
     assert!(err.contains("bad-request"), "{err}");
     assert!(err.contains("no-such-bench"), "{err}");
 
+    let out = fosm(&["client", "model", "--local", "--depth", "4294967295"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("bad-request"), "{err}");
+    assert!(err.contains("pipe_depth"), "{err}");
+
     let out = fosm(&["client", "frobnicate", "--local"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown client action"));

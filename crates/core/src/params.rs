@@ -69,12 +69,39 @@ impl ProcessorParams {
         self
     }
 
+    /// The largest value [`validate`](Self::validate) accepts for each
+    /// structural field, as `(field, maximum)`. Every machine the paper,
+    /// the figures, the fuzzer and the design-space grids describe lies
+    /// far inside these; past them a request is a mistake (a cycle count
+    /// near `u32::MAX`), not a machine.
+    pub const MAXIMA: [(&'static str, u32); 6] = [
+        ("width", 64),
+        ("win_size", 4096),
+        ("rob_size", 4096),
+        ("pipe_depth", 256),
+        ("l2_latency", 1_000),
+        ("mem_latency", 10_000),
+    ];
+
     /// Validates structural constraints.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
+        let values = [
+            self.width,
+            self.win_size,
+            self.rob_size,
+            self.pipe_depth,
+            self.l2_latency,
+            self.mem_latency,
+        ];
+        for ((field, max), value) in Self::MAXIMA.into_iter().zip(values) {
+            if value > max {
+                return Err(format!("{field} {value} exceeds the maximum {max}"));
+            }
+        }
         if self.width == 0 {
             return Err("width must be non-zero".into());
         }
@@ -116,6 +143,37 @@ mod tests {
         );
         assert_eq!((p.l2_latency, p.mem_latency), (8, 200));
         p.validate().unwrap();
+    }
+
+    /// The structural field `ProcessorParams::MAXIMA[i]` names.
+    fn field(p: &mut ProcessorParams, i: usize) -> &mut u32 {
+        match i {
+            0 => &mut p.width,
+            1 => &mut p.win_size,
+            2 => &mut p.rob_size,
+            3 => &mut p.pipe_depth,
+            4 => &mut p.l2_latency,
+            _ => &mut p.mem_latency,
+        }
+    }
+
+    #[test]
+    fn values_past_the_stated_maxima_are_rejected_naming_the_field() {
+        for (i, (name, max)) in ProcessorParams::MAXIMA.into_iter().enumerate() {
+            // The ROB and memory latency at their maxima, so the window
+            // and L2 latency can reach theirs without another failure.
+            let mut p = ProcessorParams::baseline();
+            *field(&mut p, 2) = ProcessorParams::MAXIMA[2].1;
+            *field(&mut p, 5) = ProcessorParams::MAXIMA[5].1;
+            *field(&mut p, i) = max;
+            assert_eq!(p.validate(), Ok(()), "{name} = {max} is accepted");
+            *field(&mut p, i) = u32::MAX;
+            let err = p.validate().unwrap_err();
+            assert!(
+                err.starts_with(&format!("{name} 4294967295 exceeds")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! one pass over a trace, producing the [`ProgramProfile`] the model
 //! consumes. No cycle-level machinery is involved.
 
-use fosm_branch::{MispredictStats, PredictorConfig};
+use fosm_branch::{MispredictStats, Predictor, PredictorConfig};
 use fosm_cache::{
-    AccessKind, AccessOutcome, BurstDistribution, Hierarchy, HierarchyConfig, LongMissRecorder,
-    Tlb, TlbConfig,
+    AccessKind, AccessOutcome, BurstDistribution, CacheConfig, FirstLevel, HierarchyConfig,
+    LongMissRecorder, SecondLevel, Tlb, TlbConfig,
 };
 use fosm_depgraph::{IwAnalysis, IwCharacteristic, IwSweep};
-use fosm_isa::{FuClass, Op, NUM_REGS};
+use fosm_isa::{FuClass, Inst, Op, NUM_REGS};
 use fosm_trace::TraceSource;
 use serde::{Deserialize, Serialize};
 
@@ -275,11 +275,14 @@ impl ProfileCollector {
     /// Profiles every probe in `bank` from **one** replay of `trace`.
     ///
     /// The instruction stream, functional-unit mix, and idealized IW
-    /// sweep are shared across the bank; each probe keeps its own
-    /// caches, predictor, TLB, and miss bookkeeping. The returned
-    /// profiles (in bank order) are bit-identical to running
-    /// [`collect`](Self::collect) once per probe against fresh replays
-    /// of the same trace — fusion changes the cost, not the answer.
+    /// sweep are shared across the bank, and so is each first-level
+    /// cache, predictor and data TLB that several probes configure
+    /// alike: it sees each instruction once and its outcome fans out
+    /// to every probe that uses it. Each probe keeps its own L2 and
+    /// miss bookkeeping. The returned profiles (in bank order) are
+    /// bit-identical to running [`collect`](Self::collect) once per
+    /// probe against fresh replays of the same trace — fusion changes
+    /// the cost, not the answer.
     ///
     /// An empty bank returns no profiles without consuming the trace.
     ///
@@ -301,8 +304,8 @@ impl ProfileCollector {
     }
 
     /// [`collect_many`](Self::collect_many) under a [`SamplingPlan`]:
-    /// one replay, shared skip/warm-up/sample phases, per-probe
-    /// functional structures.
+    /// one replay, shared skip/warm-up/sample phases, and one L1I, L1D,
+    /// predictor and data TLB per distinct configuration in the bank.
     ///
     /// # Errors
     ///
@@ -319,10 +322,11 @@ impl ProfileCollector {
         if plan.sample != u64::MAX {
             plan.validate().map_err(ModelError::InvalidParams)?;
         }
+        let mut shared = Shared::default();
         let mut states = bank
             .probes()
             .iter()
-            .map(ProbeState::new)
+            .map(|probe| ProbeState::new(probe, &mut shared))
             .collect::<Result<Vec<_>, _>>()?;
         if states.is_empty() {
             return Ok(Vec::new());
@@ -333,8 +337,9 @@ impl ProfileCollector {
             fosm_obs::counter_add("profile.fused_passes_saved", states.len() as u64 - 1);
         }
 
-        // Stream the trace once: every probe sees every touched
-        // instruction; the IW sweep and mix see only counted ones.
+        // Stream the trace once: every shared structure sees every
+        // touched instruction once and the probes read its outcome; the
+        // IW sweep and mix see only counted ones.
         let mut sweep = IwSweep::paper_default();
         let mut fu_mix = [0u64; 5];
         let mut counted: u64 = 0;
@@ -348,8 +353,9 @@ impl ProfileCollector {
                 continue; // fast-forward
             }
             let counting = in_period >= skip_len + plan.warmup;
-            for state in &mut states {
-                state.observe(&inst, counting, counted);
+            shared.observe(&inst, counting, counted);
+            for state in states.iter_mut().filter(|s| s.real_l1i || s.real_l1d) {
+                state.observe(&inst, &shared, counting, counted);
             }
             if counting {
                 fu_mix[inst.op.fu_class().index()] += 1;
@@ -361,10 +367,15 @@ impl ProfileCollector {
             return Err(ModelError::EmptyTrace);
         }
         let analysis = sweep.finish();
+        for run in &mut shared.predictors.runs {
+            run.stats.set_total_instructions(counted);
+        }
         states
             .into_iter()
             .zip(bank.probes())
-            .map(|(state, probe)| state.finish(&self.params, probe, &analysis, counted, fu_mix))
+            .map(|(state, probe)| {
+                state.finish(&shared, &self.params, probe, &analysis, counted, fu_mix)
+            })
             .collect()
     }
 }
@@ -466,76 +477,204 @@ impl FromIterator<Probe> for ProbeBank {
     }
 }
 
-/// Per-probe streaming state: the functional structures and miss
-/// bookkeeping one probe owns during a fused pass.
+/// Structures of one kind in a fused pass, one per distinct
+/// configuration.
+struct Distinct<C, S> {
+    configs: Vec<C>,
+    runs: Vec<S>,
+}
+
+impl<C, S> Default for Distinct<C, S> {
+    fn default() -> Self {
+        Distinct {
+            configs: Vec::new(),
+            runs: Vec::new(),
+        }
+    }
+}
+
+impl<C: PartialEq, S> Distinct<C, S> {
+    /// The index of the structure for `config`, built on first use.
+    fn index(
+        &mut self,
+        config: C,
+        build: impl FnOnce(&C) -> Result<S, ModelError>,
+    ) -> Result<usize, ModelError> {
+        if let Some(i) = self.configs.iter().position(|c| *c == config) {
+            return Ok(i);
+        }
+        self.runs.push(build(&config)?);
+        self.configs.push(config);
+        Ok(self.runs.len() - 1)
+    }
+}
+
+/// An L1 and whether the current instruction's access hit it.
+struct L1Run {
+    level: FirstLevel,
+    hit: bool,
+}
+
+impl L1Run {
+    fn new(config: Option<CacheConfig>, next_line_prefetch: u32) -> Self {
+        L1Run {
+            level: FirstLevel::new(config, next_line_prefetch),
+            hit: false,
+        }
+    }
+}
+
+/// A branch predictor and the mispredictions it made on the counted
+/// stream.
+struct PredictorRun {
+    predictor: Box<dyn Predictor>,
+    stats: MispredictStats,
+}
+
+/// A data TLB and the counted loads it missed on.
+struct TlbRun {
+    tlb: Tlb,
+    misses: LongMissRecorder,
+}
+
+/// The functional structures a fused pass shares between probes (paper
+/// §2: each miss event's structure is simulated on its own, so probes
+/// that configure one alike can share it). The L1 outcome never depends
+/// on the L2, so L1s are shared and each probe keeps its own
+/// [`SecondLevel`]; a predictor's and a TLB's records depend on nothing
+/// else, so they are shared whole.
+#[derive(Default)]
+struct Shared {
+    l1i: Distinct<Option<CacheConfig>, L1Run>,
+    /// Keyed by the L1D and its prefetch depth (0 when the L1D is ideal).
+    l1d: Distinct<(Option<CacheConfig>, u32), L1Run>,
+    predictors: Distinct<PredictorConfig, PredictorRun>,
+    dtlbs: Distinct<TlbConfig, TlbRun>,
+}
+
+impl Shared {
+    /// Streams one touched instruction through every shared structure;
+    /// records are kept only when `counting`. `counted_idx` is the
+    /// index the instruction will have in the counted stream.
+    fn observe(&mut self, inst: &Inst, counting: bool, counted_idx: u64) {
+        for run in &mut self.l1i.runs {
+            run.hit = run.level.access(inst.pc);
+        }
+        if let Some(addr) = inst.mem_addr {
+            if inst.op == Op::Load {
+                for run in &mut self.dtlbs.runs {
+                    if !run.tlb.access(addr) && counting {
+                        run.misses.record(counted_idx);
+                    }
+                }
+            }
+            for run in &mut self.l1d.runs {
+                run.hit = run.level.access(addr);
+            }
+        }
+        if inst.op.is_cond_branch() {
+            let taken = inst.branch.expect("branches carry outcomes").taken;
+            for run in &mut self.predictors.runs {
+                let correct = run.predictor.observe(inst.pc, taken);
+                if counting {
+                    run.stats.record(correct, counted_idx);
+                }
+            }
+        }
+    }
+}
+
+/// Per-probe streaming state: the shared structures the probe reads,
+/// its own L2, and the miss bookkeeping that depends on that L2.
 struct ProbeState {
-    hierarchy: Hierarchy,
-    predictor: Box<dyn fosm_branch::Predictor>,
-    dtlb: Option<Tlb>,
-    bstats: MispredictStats,
+    l1i: usize,
+    l1d: usize,
+    predictor: usize,
+    dtlb: Option<usize>,
+    /// Whether the L1I / L1D is real. An ideal L1 hits every access
+    /// and, with no L1D, nothing is prefetched: that side never reaches
+    /// the L2, so the probe skips it.
+    real_l1i: bool,
+    real_l1d: bool,
+    l2: SecondLevel,
     longs: LongMissRecorder,
-    tlb_longs: LongMissRecorder,
     icache_short: u64,
     icache_long: u64,
     dcache_short: u64,
-    loads: u64,
     reg_taint: [Option<u64>; NUM_REGS],
 }
 
 impl ProbeState {
-    fn new(probe: &Probe) -> Result<Self, ModelError> {
-        let hierarchy = Hierarchy::new(probe.hierarchy)
-            .map_err(|e| ModelError::InvalidParams(format!("cache hierarchy: {e}")))?;
-        let dtlb = match &probe.dtlb {
-            Some(cfg) => Some(
-                Tlb::new(*cfg).map_err(|e| ModelError::InvalidParams(format!("data TLB: {e}")))?,
-            ),
-            None => None,
-        };
+    fn new(probe: &Probe, shared: &mut Shared) -> Result<Self, ModelError> {
+        let h = &probe.hierarchy;
+        let l1d_prefetch = h.l1d.map_or(0, |_| h.next_line_prefetch);
         Ok(ProbeState {
-            hierarchy,
-            predictor: probe.predictor.build(),
-            dtlb,
-            bstats: MispredictStats::new(),
+            l1i: shared.l1i.index(h.l1i, |c| Ok(L1Run::new(*c, 0)))?,
+            l1d: shared
+                .l1d
+                .index((h.l1d, l1d_prefetch), |(c, p)| Ok(L1Run::new(*c, *p)))?,
+            predictor: shared.predictors.index(probe.predictor, |c| {
+                Ok(PredictorRun {
+                    predictor: c.build(),
+                    stats: MispredictStats::new(),
+                })
+            })?,
+            dtlb: match probe.dtlb {
+                Some(cfg) => Some(shared.dtlbs.index(cfg, |c| {
+                    let tlb = Tlb::new(*c)
+                        .map_err(|e| ModelError::InvalidParams(format!("data TLB: {e}")))?;
+                    Ok(TlbRun {
+                        tlb,
+                        misses: LongMissRecorder::new(),
+                    })
+                })?),
+                None => None,
+            },
+            real_l1i: h.l1i.is_some(),
+            real_l1d: h.l1d.is_some(),
+            l2: SecondLevel::new(h),
             longs: LongMissRecorder::new(),
-            tlb_longs: LongMissRecorder::new(),
             icache_short: 0,
             icache_long: 0,
             dcache_short: 0,
-            loads: 0,
             reg_taint: [None; NUM_REGS],
         })
     }
 
-    /// Streams one instruction through the functional structures;
-    /// statistics are recorded only when `counting`. `counted_idx` is
-    /// the index the instruction will have in the counted stream.
-    fn observe(&mut self, inst: &fosm_isa::Inst, counting: bool, counted_idx: u64) {
-        let ic = self.hierarchy.access(AccessKind::IFetch, inst.pc);
-        if counting {
-            match ic {
-                AccessOutcome::L1 => {}
-                AccessOutcome::L2 => self.icache_short += 1,
-                AccessOutcome::Memory => self.icache_long += 1,
+    /// Takes one instruction's shared L1 outcomes through the probe's
+    /// L2; misses are counted only when `counting`. `counted_idx` is the
+    /// index the instruction will have in the counted stream.
+    fn observe(&mut self, inst: &Inst, shared: &Shared, counting: bool, counted_idx: u64) {
+        if self.real_l1i {
+            let l1i_hit = shared.l1i.runs[self.l1i].hit;
+            let ic = self.l2.access(AccessKind::IFetch, inst.pc, l1i_hit);
+            if counting {
+                match ic {
+                    AccessOutcome::L1 => {}
+                    AccessOutcome::L2 => self.icache_short += 1,
+                    AccessOutcome::Memory => self.icache_long += 1,
+                }
             }
         }
-        let src_taint = inst
-            .sources()
-            .filter_map(|r| self.reg_taint[r.index()])
-            .max();
+        if !self.real_l1d {
+            return;
+        }
+        // Register taint: the latest long miss a value depends on. Every
+        // taint is `None` until the first long miss, so until then there
+        // is nothing to propagate.
+        let src_taint = if self.longs.count() > 0 {
+            inst.sources()
+                .filter_map(|r| self.reg_taint[r.index()])
+                .max()
+        } else {
+            None
+        };
         let mut dest_taint = src_taint;
-        match inst.op {
-            Op::Load => {
-                let addr = inst.mem_addr.expect("loads carry addresses");
-                if let Some(tlb) = &mut self.dtlb {
-                    let hit = tlb.access(addr);
-                    if counting && !hit {
-                        self.tlb_longs.record(counted_idx);
-                    }
-                }
-                let outcome = self.hierarchy.access(AccessKind::Load, addr);
+        if let Some(addr) = inst.mem_addr {
+            let l1d_hit = shared.l1d.runs[self.l1d].hit;
+            if inst.op == Op::Load {
+                let outcome = self.l2.access(AccessKind::Load, addr, l1d_hit);
                 if counting {
-                    self.loads += 1;
                     match outcome {
                         AccessOutcome::L1 => {}
                         AccessOutcome::L2 => self.dcache_short += 1,
@@ -546,74 +685,77 @@ impl ProbeState {
                         }
                     }
                 }
+            } else {
+                self.l2.access(AccessKind::Store, addr, l1d_hit);
             }
-            Op::Store => {
-                let addr = inst.mem_addr.expect("stores carry addresses");
-                self.hierarchy.access(AccessKind::Store, addr);
-            }
-            _ => {}
         }
-        if let Some(dest) = inst.dest {
+        if let Some(dest) = inst.dest.filter(|_| self.longs.count() > 0) {
             self.reg_taint[dest.index()] = dest_taint;
-        }
-        if inst.op.is_cond_branch() {
-            let taken = inst.branch.expect("branches carry outcomes").taken;
-            let correct = self.predictor.observe(inst.pc, taken);
-            if counting {
-                self.bstats.record(correct, counted_idx);
-            }
         }
     }
 
     fn finish(
-        mut self,
+        self,
+        shared: &Shared,
         params: &ProcessorParams,
         probe: &Probe,
         analysis: &IwAnalysis,
         counted: u64,
         fu_mix: [u64; 5],
     ) -> Result<ProgramProfile, ModelError> {
-        self.bstats.set_total_instructions(counted);
+        let bstats = &shared.predictors.runs[self.predictor].stats;
+        let dtlb = self.dtlb.map(|i| &shared.dtlbs.runs[i]);
 
         // One bulk flush of the functional structures' counters per
-        // profile; the per-instruction stream stays uninstrumented.
+        // profile, a shared structure's once for each probe that uses
+        // it; the per-instruction stream stays uninstrumented.
         let registry = fosm_obs::global();
-        self.hierarchy.observe_into(registry, "profile.cache");
-        if let Some(tlb) = &self.dtlb {
-            tlb.observe_into(registry, "profile.cache.dtlb");
+        fosm_cache::observe_levels(
+            registry,
+            "profile.cache",
+            shared.l1i.runs[self.l1i].level.stats(),
+            shared.l1d.runs[self.l1d].level.stats(),
+            self.l2.stats(),
+        );
+        if let Some(run) = dtlb {
+            run.tlb.observe_into(registry, "profile.cache.dtlb");
         }
-        self.bstats.observe_into(registry, "profile.branch");
+        bstats.observe_into(registry, "profile.branch");
         registry.counter_add("profile.instructions", counted);
 
         // Short misses lengthen the average load latency (paper §4.3);
         // this is the only probe-dependent input to the shared IW
         // analysis, folded in at finalization.
         let hit_latency = params.latencies.latency(Op::Load) as f64;
-        let extra_load_latency = if self.loads == 0 {
+        let loads = analysis.loads();
+        let extra_load_latency = if loads == 0 {
             0.0
         } else {
             (params.l2_latency as f64 - hit_latency).max(0.0) * self.dcache_short as f64
-                / self.loads as f64
+                / loads as f64
         };
         let iw = analysis.characteristic(&params.latencies, extra_load_latency)?;
 
         // Mispredictions within one pipeline refill of instructions
         // form a burst (they share one drain/ramp bracket, eq. 3).
         let burst_threshold = (params.pipe_depth * params.width) as u64;
+        let no_tlb = LongMissRecorder::new();
 
         Ok(ProgramProfile {
             name: probe.name.clone(),
             instructions: counted,
             iw,
-            cond_branches: self.bstats.branches(),
-            mispredicts: self.bstats.mispredicts(),
-            mispredict_burst_mean: self.bstats.mean_burst_length(burst_threshold).max(1.0),
+            cond_branches: bstats.branches(),
+            mispredicts: bstats.mispredicts(),
+            mispredict_burst_mean: bstats.mean_burst_length(burst_threshold).max(1.0),
             icache_short_misses: self.icache_short,
             icache_long_misses: self.icache_long,
             dcache_short_misses: self.dcache_short,
             long_miss_distribution: self.longs.distribution(params.rob_size),
             long_miss_distribution_paper: self.longs.distribution_paper(params.rob_size),
-            dtlb_miss_distribution: self.tlb_longs.distribution(params.rob_size),
+            dtlb_miss_distribution: dtlb
+                .map_or(&no_tlb, |run| &run.misses)
+                .distribution(params.rob_size),
             dtlb_walk_latency: probe.dtlb.map_or(0, |t| t.walk_latency),
             fu_mix,
         })

@@ -1,7 +1,7 @@
 //! Property-based tests for the first-order model's invariants.
 
 use fosm_branch::PredictorConfig;
-use fosm_cache::{BurstDistribution, HierarchyConfig, TlbConfig};
+use fosm_cache::{BurstDistribution, CacheConfig, HierarchyConfig, Replacement, TlbConfig};
 use fosm_core::branch::BurstAssumption;
 use fosm_core::model::FirstOrderModel;
 use fosm_core::profile::ProgramProfile;
@@ -49,15 +49,21 @@ fn hierarchy_strategy() -> impl Strategy<Value = HierarchyConfig> {
     prop_oneof![
         Just(HierarchyConfig::baseline()),
         Just(HierarchyConfig::ideal()),
-        (1u32..4).prop_map(|depth| {
-            let mut h = HierarchyConfig::baseline();
-            h.next_line_prefetch = depth;
-            h
-        }),
+        (1u32..4).prop_map(|depth| HierarchyConfig::baseline().with_next_line_prefetch(depth)),
         Just(HierarchyConfig {
             l1d: None,
             l2: None,
             ..HierarchyConfig::baseline()
+        }),
+        // Small L1s miss often, so the shared L1s feed the per-probe
+        // L2s a busy stream.
+        (0u32..4).prop_map(|depth| {
+            let small = CacheConfig::new(1024, 2, 64, Replacement::Lru).unwrap();
+            HierarchyConfig {
+                l1i: Some(small),
+                l1d: Some(small),
+                ..HierarchyConfig::baseline().with_next_line_prefetch(depth)
+            }
         }),
     ]
 }
@@ -83,6 +89,55 @@ fn probe_strategy() -> impl Strategy<Value = Probe> {
             dtlb,
             name: "prop".into(),
         })
+}
+
+/// The five simulation sets of the machine whose `full` probe is given,
+/// as `MachineConfig::simulation_set` builds them: everything ideal;
+/// only the predictor real; only the I-side (`l1d: None` over a real
+/// L2, no prefetch); only the D-side (`l1i: None`, with the TLB).
+fn simulation_set_bank(full: Probe) -> Vec<Probe> {
+    let h = full.hierarchy;
+    let probe = |hierarchy, predictor, dtlb| Probe {
+        hierarchy,
+        predictor,
+        dtlb,
+        name: "prop".into(),
+    };
+    vec![
+        probe(HierarchyConfig::ideal(), PredictorConfig::Ideal, None),
+        probe(HierarchyConfig::ideal(), full.predictor, None),
+        probe(
+            HierarchyConfig {
+                l1d: None,
+                next_line_prefetch: 0,
+                ..h
+            },
+            PredictorConfig::Ideal,
+            None,
+        ),
+        probe(
+            HierarchyConfig { l1i: None, ..h },
+            PredictorConfig::Ideal,
+            full.dtlb,
+        ),
+        full,
+    ]
+}
+
+/// Banks with and without shared structures: arbitrary probes, the five
+/// simulation sets of an arbitrary machine, and arbitrary probes each
+/// repeated (so every structure is shared by at least two probes).
+fn bank_strategy() -> impl Strategy<Value = Vec<Probe>> {
+    prop_oneof![
+        prop::collection::vec(probe_strategy(), 1..5),
+        probe_strategy().prop_map(simulation_set_bank),
+        (prop::collection::vec(probe_strategy(), 1..4), 0usize..3).prop_map(|(probes, skip)| {
+            let repeats = probes.iter().cycle().skip(skip).take(probes.len());
+            let mut bank = probes.clone();
+            bank.extend(repeats.cloned());
+            bank
+        }),
+    ]
 }
 
 fn bench_of(idx: usize) -> BenchmarkSpec {
@@ -119,14 +174,15 @@ fn collect_one(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole invariant: `collect_many` over an arbitrary probe
     /// bank produces exactly the profiles `collect` produces one probe
-    /// at a time — fusion changes the cost, never the answer.
+    /// at a time — fusion and shared structures change the cost, never
+    /// the answer.
     #[test]
     fn collect_many_matches_sequential_collect(
-        probes in prop::collection::vec(probe_strategy(), 1..5),
+        probes in bank_strategy(),
         seed in 1u64..1000,
         bench in 0usize..4,
     ) {
@@ -148,7 +204,7 @@ proptest! {
     /// and a counted-instruction budget.
     #[test]
     fn collect_many_sampled_matches_sequential(
-        probes in prop::collection::vec(probe_strategy(), 1..4),
+        probes in bank_strategy(),
         seed in 1u64..1000,
         bench in 0usize..4,
         sample in 1u64..800,

@@ -12,10 +12,13 @@
 //!
 //! Validation happens **once**, up front, over the whole cross-product
 //! (`validate` checks the extreme combinations, which bound every
-//! interior point) — the evaluation loop itself is infallible.
+//! interior point, against the same limits as
+//! [`ProcessorParams::validate`]) — the evaluation loop itself is
+//! infallible.
 
 use fosm_branch::PredictorConfig;
 use fosm_cache::{CacheConfig, Replacement};
+use fosm_core::ProcessorParams;
 use serde::{Deserialize, Serialize};
 
 /// A malformed grid, reported before any evaluation starts.
@@ -25,6 +28,18 @@ pub enum GridError {
     EmptyAxis(&'static str),
     /// An axis contains a zero where the model needs a positive value.
     ZeroValue(&'static str),
+    /// An axis value exceeds the stated maximum of its machine field
+    /// ([`ProcessorParams::MAXIMA`]).
+    AboveMaximum {
+        /// The axis holding the value.
+        axis: &'static str,
+        /// The machine field the axis sets.
+        field: &'static str,
+        /// The largest value on the axis.
+        value: u32,
+        /// The field's stated maximum.
+        max: u32,
+    },
     /// Some `(win_size, rob_size)` combination has `win > rob`.
     WindowExceedsRob {
         /// The largest window in the grid.
@@ -48,6 +63,15 @@ impl std::fmt::Display for GridError {
         match self {
             GridError::EmptyAxis(axis) => write!(f, "axis `{axis}` is empty"),
             GridError::ZeroValue(axis) => write!(f, "axis `{axis}` contains a zero"),
+            GridError::AboveMaximum {
+                axis,
+                field,
+                value,
+                max,
+            } => write!(
+                f,
+                "axis `{axis}` value {value} exceeds the {field} maximum {max}"
+            ),
             GridError::WindowExceedsRob { win, rob } => {
                 write!(f, "window {win} exceeds ROB {rob} for some grid point")
             }
@@ -112,9 +136,12 @@ impl MachineGrid {
 
     /// Checks every cross-product combination once, so the evaluation
     /// loop can be infallible. Because parameter validity is monotone
-    /// in each axis, checking the extremes (`max(win)` vs `min(rob)`,
-    /// `max(l2)` vs `min(mem)`) covers all interior points.
+    /// in each axis, checking the extremes (each axis's maximum against
+    /// [`ProcessorParams::MAXIMA`], `max(win)` vs `min(rob)`, `max(l2)`
+    /// vs `min(mem)`) covers all interior points: every point passes
+    /// [`ProcessorParams::validate`].
     pub fn validate(&self) -> Result<(), GridError> {
+        // In the order of `ProcessorParams::MAXIMA`.
         let axes: [(&'static str, &[u32]); 6] = [
             ("widths", &self.widths),
             ("windows", &self.win_sizes),
@@ -123,12 +150,20 @@ impl MachineGrid {
             ("l2", &self.l2_latencies),
             ("mem", &self.mem_latencies),
         ];
-        for (name, values) in axes {
-            if values.is_empty() {
+        for ((name, values), (field, max)) in axes.into_iter().zip(ProcessorParams::MAXIMA) {
+            let Some(&value) = values.iter().max() else {
                 return Err(GridError::EmptyAxis(name));
-            }
+            };
             if values.contains(&0) {
                 return Err(GridError::ZeroValue(name));
+            }
+            if value > max {
+                return Err(GridError::AboveMaximum {
+                    axis: name,
+                    field,
+                    value,
+                    max,
+                });
             }
         }
         let win = *self.win_sizes.iter().max().expect("checked non-empty");
@@ -366,6 +401,44 @@ mod tests {
         let mut grid = MachineGrid::baseline_sweep();
         grid.pipe_depths = vec![0, 5];
         assert_eq!(grid.validate(), Err(GridError::ZeroValue("depths")));
+    }
+
+    /// The axis that sets the field `ProcessorParams::MAXIMA[i]` names.
+    fn axis(grid: &mut MachineGrid, i: usize) -> &mut Vec<u32> {
+        match i {
+            0 => &mut grid.widths,
+            1 => &mut grid.win_sizes,
+            2 => &mut grid.rob_sizes,
+            3 => &mut grid.pipe_depths,
+            4 => &mut grid.l2_latencies,
+            _ => &mut grid.mem_latencies,
+        }
+    }
+
+    #[test]
+    fn validation_holds_each_axis_to_its_machine_maximum() {
+        let grid = MachineGrid::baseline_sweep();
+        for (i, (field, max)) in ProcessorParams::MAXIMA.into_iter().enumerate() {
+            // The ROB and memory axes at their maxima, so the window and
+            // L2 axes can reach theirs without another failure.
+            let mut at_max = grid.clone();
+            at_max.rob_sizes = vec![ProcessorParams::MAXIMA[2].1];
+            at_max.mem_latencies = vec![ProcessorParams::MAXIMA[5].1];
+            axis(&mut at_max, i).push(max);
+            assert_eq!(at_max.validate(), Ok(()), "{field} = {max} is accepted");
+            axis(&mut at_max, i).push(u32::MAX);
+            let err = at_max.validate().unwrap_err();
+            assert!(
+                matches!(err, GridError::AboveMaximum { field: f, value: u32::MAX, max: m, .. } if f == field && m == max),
+                "{err}"
+            );
+        }
+        let mut deep = grid;
+        deep.pipe_depths = vec![5, u32::MAX];
+        assert_eq!(
+            deep.validate().unwrap_err().to_string(),
+            "axis `depths` value 4294967295 exceeds the pipe_depth maximum 256"
+        );
     }
 
     #[test]

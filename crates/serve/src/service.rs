@@ -466,11 +466,20 @@ mod tests {
 
     #[test]
     fn invalid_machine_is_a_bad_request() {
-        let mut req = profile_req("full");
-        req.machine.width = 0;
-        match test_service().execute(&Request::Profile(req)) {
-            Response::Err { code, .. } => assert_eq!(code, "bad-request"),
-            Response::Ok { body } => panic!("unexpected success: {body}"),
+        let service = test_service();
+        let (mut zero, mut deep) = (profile_req("full"), profile_req("full"));
+        zero.machine.width = 0;
+        deep.machine.depth = u32::MAX;
+        for (req, needle) in [(zero, "width"), (deep, "pipe_depth 4294967295 exceeds")] {
+            for wrap in [Request::Profile, Request::Model] {
+                match service.execute(&wrap(req.clone())) {
+                    Response::Err { code, message } => {
+                        assert_eq!(code, "bad-request");
+                        assert!(message.contains(needle), "{message}");
+                    }
+                    Response::Ok { body } => panic!("unexpected success: {body}"),
+                }
+            }
         }
     }
 
@@ -492,6 +501,31 @@ mod tests {
         assert!(out
             .contains("workload,icache,dcache,predictor,width,window,rob,depth,l2,mem,ipc,cost\n"));
         assert!(out.contains("gzip,"));
+    }
+
+    #[test]
+    fn explore_past_a_machine_maximum_is_a_bad_request() {
+        let req = ExploreRequest {
+            bench: "gzip".into(),
+            insts: 3_000,
+            seed: 7,
+            widths: vec![],
+            windows: vec![],
+            robs: vec![],
+            depths: vec![u32::MAX],
+            l2s: vec![],
+            mems: vec![],
+        };
+        match test_service().execute(&Request::Explore(req)) {
+            Response::Err { code, message } => {
+                assert_eq!(code, "bad-request");
+                assert!(
+                    message.contains("`depths` value 4294967295 exceeds the pipe_depth maximum"),
+                    "{message}"
+                );
+            }
+            Response::Ok { body } => panic!("unexpected success: {body}"),
+        }
     }
 
     #[test]

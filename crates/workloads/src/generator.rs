@@ -1,6 +1,7 @@
 //! The dynamic trace generator walking a [`SyntheticProgram`].
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use fosm_isa::{Inst, Op, Reg};
 use fosm_trace::TraceSource;
@@ -51,7 +52,7 @@ struct Frame {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
-    program: SyntheticProgram,
+    program: Arc<SyntheticProgram>,
     spec: BenchmarkSpec,
     rng: SmallRng,
 
@@ -95,7 +96,16 @@ impl WorkloadGenerator {
     /// Returns the validation message if `spec` is inconsistent.
     pub fn try_new(spec: &BenchmarkSpec, seed: u64) -> Result<Self, String> {
         let program = SyntheticProgram::build(spec)?;
-        Ok(WorkloadGenerator {
+        Ok(Self::from_program(Arc::new(program), seed))
+    }
+
+    /// A walker seeded with `seed` over a built `program`: the stream
+    /// `WorkloadGenerator::new(program.spec(), seed)` yields, without
+    /// building the program again, for callers that generate the same
+    /// benchmark many times.
+    pub fn from_program(program: Arc<SyntheticProgram>, seed: u64) -> Self {
+        let spec = program.spec();
+        WorkloadGenerator {
             spec: spec.clone(),
             rng: SmallRng::seed_from_u64(seed ^ 0x5eed_0f05),
             cur_func: 0,
@@ -109,7 +119,7 @@ impl WorkloadGenerator {
             skip_phase: HashMap::new(),
             pending: VecDeque::new(),
             program,
-        })
+        }
     }
 
     /// The static program this generator is executing.
@@ -176,13 +186,15 @@ impl WorkloadGenerator {
     /// Executes the current block, appending its dynamic instructions to
     /// `pending` and advancing control state.
     fn run_block(&mut self) {
-        let (body, term, block_pc, term_pc) = {
+        let (body_len, term, block_pc, term_pc) = {
             let block = &self.program.functions[self.cur_func].blocks[self.cur_block];
-            (block.body.clone(), block.term, block.pc, block.term_pc())
+            (block.body.len(), block.term, block.pc, block.term_pc())
         };
 
-        // Body instructions.
-        for (i, sinst) in body.iter().enumerate() {
+        // Body instructions. `StaticInst` is `Copy`: index the body
+        // rather than clone it per dynamic block.
+        for i in 0..body_len {
+            let sinst = self.program.functions[self.cur_func].blocks[self.cur_block].body[i];
             let pc = block_pc + i as u64 * 4;
             let inst = match sinst.op {
                 Op::Load => {
@@ -363,6 +375,21 @@ mod tests {
         let c: Vec<_> = WorkloadGenerator::new(&spec, 6).take(2000).iter().collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn a_shared_program_yields_the_stream_of_new() {
+        let spec = BenchmarkSpec::mcf();
+        let program = Arc::new(SyntheticProgram::build(&spec).unwrap());
+        for seed in [5, 6] {
+            let mut shared = WorkloadGenerator::from_program(Arc::clone(&program), seed);
+            let a: Vec<_> = shared.take(2000).iter().collect();
+            let b: Vec<_> = WorkloadGenerator::new(&spec, seed)
+                .take(2000)
+                .iter()
+                .collect();
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

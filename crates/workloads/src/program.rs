@@ -124,6 +124,8 @@ pub struct SyntheticProgram {
     /// spec's `max_call_depth`.
     pub functions: Vec<Function>,
     code_bytes: u64,
+    /// The spec this program was built from.
+    spec: BenchmarkSpec,
 }
 
 /// Base address of the code segment.
@@ -166,7 +168,13 @@ impl SyntheticProgram {
         Ok(SyntheticProgram {
             functions,
             code_bytes: pc - CODE_BASE,
+            spec: spec.clone(),
         })
+    }
+
+    /// The spec this program was built from.
+    pub fn spec(&self) -> &BenchmarkSpec {
+        &self.spec
     }
 
     fn build_body(spec: &BenchmarkSpec, rng: &mut SmallRng) -> Vec<StaticInst> {
