@@ -15,11 +15,19 @@ use fosm_workloads::{BenchmarkSpec, PhasedGenerator};
 
 fn main() {
     let args = harness::run_args();
-    let _obs = harness::obs_session("phase_study", &args);
     let n = args.trace_len;
+    let phase_len = 50_000u64;
+    // Each of the two phases needs instructions of its own to profile.
+    if n < 2 * phase_len {
+        eprintln!(
+            "error: phase_study needs TRACE_LEN >= {} (two {phase_len}-instruction phases), got {n}",
+            2 * phase_len
+        );
+        std::process::exit(2);
+    }
+    let _obs = harness::obs_session("phase_study", &args);
     let config = MachineConfig::baseline();
     let params = harness::params_of(&config);
-    let phase_len = 50_000u64;
 
     let pairs = [
         (BenchmarkSpec::gzip(), BenchmarkSpec::mcf()),

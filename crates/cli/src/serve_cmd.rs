@@ -131,10 +131,7 @@ fn build_request(args: &Parsed) -> Result<Request, String> {
 pub fn client(args: Parsed) -> Result<(), String> {
     let req = build_request(&args)?;
     let response = if args.has("local") {
-        let service = Service::local();
-        let response = service.execute(&req);
-        service.shutdown();
-        response
+        Service::local().execute(&req)
     } else {
         let addr = args
             .flag("addr")
@@ -212,9 +209,6 @@ pub fn loadgen(args: Parsed) -> Result<(), String> {
             .as_ref()
             .map(|f| f as &(dyn Fn(&Request) -> Response + Sync)),
     )?;
-    if let Some(service) = &oracle_service {
-        service.shutdown();
-    }
 
     let p50 = concurrent.percentile(50.0);
     let p99 = concurrent.percentile(99.0);
@@ -336,10 +330,10 @@ fn render_top(addr: &str, body: &str) -> Result<String, String> {
     ));
     if let Some(pool) = v.get("pool") {
         out.push_str(&format!(
-            "pool : {} workers, {} executed, {} parks, queue depth {}\n",
+            "pool : {} workers, {} executed, {} panicked, queue depth {}\n",
             json_u64(pool.get("workers")),
             json_u64(pool.get("executed")),
-            json_u64(pool.get("parks")),
+            json_u64(v.get("panics")),
             json_u64(pool.get("queue_depth")),
         ));
     }
@@ -439,8 +433,8 @@ mod tests {
 
     #[test]
     fn render_top_formats_every_section() {
-        let body = r#"{"fosm_telemetry":2,"enabled":true,"requests":3,
-            "pool":{"workers":4,"executed":7,"parks":9,"queue_depth":0},
+        let body = r#"{"fosm_telemetry":3,"enabled":true,"requests":3,"panics":1,
+            "pool":{"workers":4,"executed":7,"queue_depth":2},
             "batch":{"passes":5,"coalesced":2,"memo_hits":4},
             "hists":{"serve.total_us.ping":{"count":3,"sum":30,"min":8,
                      "max":12,"p50":15,"p99":15,"buckets":{"4":3}}},
@@ -450,11 +444,11 @@ mod tests {
                  "total_us":9,"resp_bytes":5,"cache_hit":true}]}}"#;
         let table = render_top("127.0.0.1:9", body).expect("renders");
         assert!(
-            table.starts_with("fosm top — 127.0.0.1:9 (telemetry schema v2, 3 requests"),
+            table.starts_with("fosm top — 127.0.0.1:9 (telemetry schema v3, 3 requests"),
             "{table}"
         );
         assert!(
-            table.contains("pool : 4 workers, 7 executed, 9 parks, queue depth 0\n"),
+            table.contains("pool : 4 workers, 7 executed, 1 panicked, queue depth 2\n"),
             "{table}"
         );
         assert!(
@@ -471,7 +465,7 @@ mod tests {
 
     #[test]
     fn render_top_flags_disabled_telemetry_and_rejects_garbage() {
-        let body = r#"{"fosm_telemetry":2,"enabled":false,"requests":0,
+        let body = r#"{"fosm_telemetry":3,"enabled":false,"requests":0,
             "hists":{},"flight":{"capacity":256,"dropped":0,"records":[]}}"#;
         let table = render_top("a:1", body).expect("renders");
         assert!(table.contains("TELEMETRY DISABLED"), "{table}");

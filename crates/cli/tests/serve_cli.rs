@@ -250,7 +250,7 @@ fn top_once_json_returns_populated_telemetry_snapshot() {
         String::from_utf8_lossy(&out.stderr)
     );
     let body = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(body.contains("\"fosm_telemetry\":2"), "{body}");
+    assert!(body.contains("\"fosm_telemetry\":3"), "{body}");
     assert!(body.contains("\"serve.total_us.ping\""), "{body}");
     assert!(body.contains("\"serve.queue_us.profile\""), "{body}");
     assert!(body.contains("\"kind\":\"ping\""), "{body}");
@@ -260,7 +260,7 @@ fn top_once_json_returns_populated_telemetry_snapshot() {
     let out = fosm(&["client", "telemetry", "--addr", &addr]);
     assert!(out.status.success());
     assert!(
-        String::from_utf8_lossy(&out.stdout).contains("\"fosm_telemetry\":2"),
+        String::from_utf8_lossy(&out.stdout).contains("\"fosm_telemetry\":3"),
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );

@@ -709,19 +709,20 @@ impl ProbeState {
         // One bulk flush of the functional structures' counters per
         // profile, a shared structure's once for each probe that uses
         // it; the per-instruction stream stays uninstrumented.
-        let registry = fosm_obs::global();
-        fosm_cache::observe_levels(
-            registry,
-            "profile.cache",
-            shared.l1i.runs[self.l1i].level.stats(),
-            shared.l1d.runs[self.l1d].level.stats(),
-            self.l2.stats(),
-        );
-        if let Some(run) = dtlb {
-            run.tlb.observe_into(registry, "profile.cache.dtlb");
-        }
-        bstats.observe_into(registry, "profile.branch");
-        registry.counter_add("profile.instructions", counted);
+        fosm_obs::with_registry(|registry| {
+            fosm_cache::observe_levels(
+                registry,
+                "profile.cache",
+                shared.l1i.runs[self.l1i].level.stats(),
+                shared.l1d.runs[self.l1d].level.stats(),
+                self.l2.stats(),
+            );
+            if let Some(run) = dtlb {
+                run.tlb.observe_into(registry, "profile.cache.dtlb");
+            }
+            bstats.observe_into(registry, "profile.branch");
+            registry.counter_add("profile.instructions", counted);
+        });
 
         // Short misses lengthen the average load latency (paper §4.3);
         // this is the only probe-dependent input to the shared IW

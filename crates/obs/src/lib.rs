@@ -70,6 +70,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::Arc;
+
 pub mod chrome;
 pub mod event;
 pub mod hist;
@@ -94,21 +96,25 @@ pub fn global() -> &'static Registry {
     Registry::global()
 }
 
-/// Adds `delta` to counter `name` in the current thread's registry
-/// (the innermost [`scoped_registry`], or the global one).
-pub fn counter_add(name: &str, delta: u64) {
+/// Runs `f` on the current thread's registry: the innermost
+/// [`scoped_registry`], or the global one. Bulk flushes at the end of
+/// a profile or simulation use it, so a request's counters land in
+/// that request's scope.
+pub fn with_registry<T>(f: impl FnOnce(&Arc<Registry>) -> T) -> T {
     match scope::current() {
-        Some(r) => r.counter_add(name, delta),
-        None => Registry::global().counter_add(name, delta),
+        Some(r) => f(&r),
+        None => f(Registry::global_shared()),
     }
+}
+
+/// Adds `delta` to counter `name` in the current thread's registry.
+pub fn counter_add(name: &str, delta: u64) {
+    with_registry(|r| r.counter_add(name, delta));
 }
 
 /// Sets gauge `name` to `value` in the current thread's registry.
 pub fn gauge_set(name: &str, value: f64) {
-    match scope::current() {
-        Some(r) => r.gauge_set(name, value),
-        None => Registry::global().gauge_set(name, value),
-    }
+    with_registry(|r| r.gauge_set(name, value));
 }
 
 /// Records one observation into histogram `name` in the current
@@ -116,30 +122,21 @@ pub fn gauge_set(name: &str, value: f64) {
 /// instead hold the handle from [`Registry::hist`] to skip the
 /// per-call name lookup.
 pub fn hist_record(name: &str, value: u64) {
-    match scope::current() {
-        Some(r) => r.hist_record(name, value),
-        None => Registry::global().hist_record(name, value),
-    }
+    with_registry(|r| r.hist_record(name, value));
 }
 
 /// Records run metadata (config, seed, …) in the current thread's
 /// registry.
 pub fn meta_set(name: &str, value: impl std::fmt::Display) {
-    match scope::current() {
-        Some(r) => r.meta_set(name, value),
-        None => Registry::global().meta_set(name, value),
-    }
+    with_registry(|r| r.meta_set(name, value));
 }
 
 /// Opens a span on the current thread's registry; the returned guard
-/// records the elapsed wall-clock time when dropped. Under a
-/// [`scoped_registry`] the guard shares ownership of the scoped
-/// registry, so it stays valid even if the scope is popped first.
+/// records the elapsed wall-clock time when dropped. The guard shares
+/// ownership of the registry, so it stays valid even if a scope is
+/// popped first.
 pub fn span(name: &str) -> SpanGuard<'static> {
-    match scope::current() {
-        Some(r) => SpanGuard::begin_shared(r, name),
-        None => Registry::global().span(name),
-    }
+    with_registry(|r| SpanGuard::begin_shared(Arc::clone(r), name))
 }
 
 /// The `/`-joined path of the spans open on the current thread, or

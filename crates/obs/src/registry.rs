@@ -2,7 +2,7 @@
 //! aggregated span timings.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::span::SpanGuard;
@@ -86,7 +86,12 @@ impl Registry {
 
     /// The process-wide registry.
     pub fn global() -> &'static Registry {
-        static GLOBAL: Registry = Registry::new();
+        Registry::global_shared()
+    }
+
+    /// The process-wide registry, shareable like a scoped one.
+    pub(crate) fn global_shared() -> &'static Arc<Registry> {
+        static GLOBAL: LazyLock<Arc<Registry>> = LazyLock::new(|| Arc::new(Registry::new()));
         &GLOBAL
     }
 

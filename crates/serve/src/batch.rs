@@ -107,7 +107,7 @@ pub struct BatchStats {
     pub memo_hits: u64,
 }
 
-/// The request coalescer. One per daemon, shared by all workers.
+/// The request coalescer. One per daemon, shared by every request.
 pub struct Batcher {
     open: Mutex<HashMap<BatchKey, Arc<Cell>>>,
     gate: Gate,

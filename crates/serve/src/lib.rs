@@ -10,17 +10,15 @@
 //! * [`proto`] — the wire protocol: length-prefixed JSON frames over
 //!   TCP, with structured errors for oversized, truncated, and
 //!   malformed input;
-//! * [`pool`] — a FIFO worker pool (persistent workers popping one
-//!   shared queue) that runs each request on one worker and survives
-//!   a job that panics;
 //! * [`batch`] — leader–follower request batching that coalesces
 //!   concurrent same-trace probe requests into one fused
 //!   `profile_many` replay;
 //! * [`service`] — the request handlers, shared verbatim between the
 //!   daemon and the in-process `fosm client --local` path so responses
-//!   are byte-identical either way;
-//! * [`server`] — the TCP accept loop, connection handling, and
-//!   graceful shutdown;
+//!   are byte-identical either way, and the FIFO admission permits that
+//!   bound how many requests run at once and catch a request's panic;
+//! * [`server`] — the TCP accept loop, one thread per connection that
+//!   runs its own requests under a permit, and graceful shutdown;
 //! * [`client`] — a small blocking client used by `fosm client` and
 //!   the load generator;
 //! * [`loadgen`] — a closed-loop load generator recording latency
@@ -40,7 +38,6 @@
 pub mod batch;
 pub mod client;
 pub mod loadgen;
-pub mod pool;
 pub mod proto;
 pub mod server;
 pub mod service;

@@ -289,7 +289,7 @@ pub enum Request {
     /// Server and store diagnostics (cache traffic, batching, …).
     Stats,
     /// Schema-versioned telemetry snapshot: per-kind latency phase
-    /// histograms, pool/batch traffic, and the request flight
+    /// histograms, admission/batch traffic, and the request flight
     /// recorder, as one line of JSON (`fosm top` renders it).
     Telemetry,
     /// Ask the daemon to stop accepting work and exit cleanly.

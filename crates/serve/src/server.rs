@@ -1,30 +1,29 @@
 //! The TCP daemon: accept loop, per-connection framing, shutdown.
 //!
-//! Threading model: one accept thread, one lightweight thread per
-//! connection, and all actual work on the shared FIFO
-//! [`WorkerPool`](crate::pool::WorkerPool). A connection thread only
-//! frames bytes — it decodes a request, submits it to the pool, blocks
-//! on the result, and writes the response frame — so a slow request
-//! never stalls the accept loop, and concurrency is bounded by the
-//! pool, not the connection count. A request whose job panics is
-//! answered with an `internal` error, and the connection stays open.
+//! Threading model: one accept thread and one thread per connection.
+//! A connection thread decodes a request, runs it itself through
+//! [`Service::admit`] — which waits for a FIFO permit, so at most
+//! `--workers` requests run at once, in arrival order — and writes the
+//! response frame. A slow request never stalls the accept loop, and
+//! concurrency is bounded by the permits, not the connection count. A
+//! request that panics is answered with an `internal` error, and the
+//! connection stays open.
 //!
-//! Each request job runs under its own `fosm_obs` scoped registry
-//! (per-request span roots and counters, no cross-request bleed) and
-//! merges its instrumentation into the process-global registry when it
-//! finishes, so long-lived workers never share mutable observability
-//! state between overlapping requests. The connection thread also
-//! stamps every finished request into the service's
-//! [`telemetry`](crate::telemetry) — per-kind phase histograms plus a
-//! flight record — and the flight recorder is dumped to stderr on
-//! connection failures and at clean shutdown.
+//! Each request runs under its own `fosm_obs` scoped registry
+//! (per-request span roots and counters, no cross-request bleed),
+//! merged into the process-global registry when it finishes. The
+//! connection thread also stamps every finished request into the
+//! service's [`telemetry`](crate::telemetry) — per-kind phase
+//! histograms plus a flight record — and the flight recorder is dumped
+//! to stderr on connection failures and at clean shutdown.
 //!
+//! The accept loop joins finished connection threads as it accepts new
+//! ones, so an idle daemon holds only its main and accept threads.
 //! Shutdown is cooperative and complete: a `shutdown` request (or
 //! [`ServerHandle::stop`]) sets the stop flag, pokes the accept loop
 //! awake with a loopback connection, and [`ServerHandle::join`] then
-//! joins the accept thread, every connection thread, and the worker
-//! pool — exiting with no leaked threads is part of the CI smoke
-//! contract.
+//! joins the accept thread and every connection thread — exiting with
+//! no leaked threads is part of the CI smoke contract.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,7 +35,7 @@ use crate::proto::{
     decode_request, encode_response, parse_len, write_frame, FrameError, Request, Response,
     HEADER_LEN,
 };
-use crate::service::Service;
+use crate::service::{micros, Phases, Service};
 use crate::telemetry::RequestRecord;
 
 /// How often an idle connection read wakes up to check the stop flag.
@@ -102,8 +101,8 @@ impl ServerHandle {
         request_stop(&self.stop, self.addr);
     }
 
-    /// Blocks until the daemon has fully stopped: accept thread,
-    /// every connection thread, and the worker pool all joined.
+    /// Blocks until the daemon has fully stopped: the accept thread
+    /// and every connection thread joined.
     pub fn join(mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -112,7 +111,6 @@ impl ServerHandle {
         for handle in handles {
             let _ = handle.join();
         }
-        self.service.shutdown();
         // Every request is answered by now; leave the tail of the
         // traffic on stderr for post-mortems.
         if let Some(dump) = self.service.telemetry().flight_dump("clean shutdown") {
@@ -156,7 +154,11 @@ fn accept_loop(
                     .name("fosm-serve-conn".into())
                     .spawn(move || serve_connection(stream, &service, &stop, addr))
                     .expect("spawn connection thread");
-                conns.lock().expect("server conns").push(handle);
+                let mut conns = conns.lock().expect("server conns");
+                for done in conns.extract_if(.., |h| h.is_finished()) {
+                    let _ = done.join();
+                }
+                conns.push(handle);
             }
             Err(_) if stop.load(Ordering::SeqCst) => return,
             Err(_) => continue,
@@ -258,10 +260,8 @@ fn serve_connection(
                 // unframeable, so it cannot stay open); a truncated or
                 // broken stream has nobody left to answer.
                 if let FrameError::Oversized { .. } = e {
-                    respond(
-                        &mut stream,
-                        &Response::err("oversized-frame", e.to_string()),
-                    );
+                    let answer = Response::err("oversized-frame", e.to_string());
+                    let _ = write_frame(&mut stream, &encode_response(&answer));
                 }
                 // An error path is exactly what the flight recorder is
                 // for: leave the recent traffic on stderr.
@@ -276,125 +276,35 @@ fn serve_connection(
         };
         // Lifecycle zero point: the request frame is fully read.
         let received = Instant::now();
-        match decode_request(&payload) {
+        let request = decode_request(&payload);
+        let shutdown = matches!(request, Ok(Request::Shutdown));
+        let (kind, response, phases) = match request {
             // Malformed JSON is an *answer*, not a disconnect: framing
             // is intact, so the connection stays usable.
-            Err(why) => {
-                let response = Response::err("malformed-request", why);
-                if !finish(
-                    &mut stream,
-                    service,
-                    "malformed",
-                    received,
-                    Phases::default(),
-                    &response,
-                ) {
-                    return;
-                }
-            }
-            Ok(Request::Shutdown) => {
-                let response = service.execute(&Request::Shutdown);
-                finish(
-                    &mut stream,
-                    service,
-                    "shutdown",
-                    received,
-                    Phases::default(),
-                    &response,
-                );
-                request_stop(stop, addr);
-                return;
-            }
-            Ok(req) if stop.load(Ordering::SeqCst) => {
-                let response = Response::err("shutting-down", "daemon is shutting down");
-                if !finish(
-                    &mut stream,
-                    service,
-                    req.kind(),
-                    received,
-                    Phases::default(),
-                    &response,
-                ) {
-                    return;
-                }
-            }
+            Err(why) => (
+                "malformed",
+                Response::err("malformed-request", why),
+                Phases::default(),
+            ),
+            Ok(req) if shutdown => (req.kind(), service.execute(&req), Phases::default()),
+            Ok(req) if stop.load(Ordering::SeqCst) => (
+                req.kind(),
+                Response::err("shutting-down", "daemon is shutting down"),
+                Phases::default(),
+            ),
             Ok(req) => {
-                // Run on the pool under a per-request registry; merge
-                // the request's instrumentation into the global
-                // registry once it completes. The job measures its own
-                // queue wait and wall time; the batcher charges its
-                // waits to the `serve.batch_wait_ns` counter of the
-                // request's scoped registry, which the phases below
-                // subtract back out of execute time.
-                let kind = req.kind();
-                let service_job = Arc::clone(service);
-                let pool = Arc::clone(service.pool());
-                let submitted = Instant::now();
-                let task = pool.submit(move || {
-                    let queue_us = micros(submitted.elapsed());
-                    let started = Instant::now();
-                    let registry = Arc::new(fosm_obs::Registry::new());
-                    let response = {
-                        let _scope = fosm_obs::scoped_registry(Arc::clone(&registry));
-                        service_job.execute(&req)
-                    };
-                    let snap = registry.snapshot();
-                    fosm_obs::global().absorb(&snap);
-                    (response, snap, queue_us, micros(started.elapsed()))
-                });
-                // A job that panicked leaves no result: the request
-                // gets a structured error, charged as all execute time.
-                let (response, snap, queue_us, job_us) = task.wait().unwrap_or_else(|_| {
-                    let why = format!("the {kind} request panicked (see the daemon's stderr)");
-                    let waited = micros(submitted.elapsed());
-                    (
-                        Response::err("internal", why),
-                        Default::default(),
-                        0,
-                        waited,
-                    )
-                });
-                service.telemetry().absorb(&snap);
-                let batch_wait_us = snap
-                    .counters
-                    .get("serve.batch_wait_ns")
-                    .copied()
-                    .unwrap_or(0)
-                    / 1_000;
-                let phases = Phases {
-                    queue_us,
-                    batch_wait_us,
-                    exec_us: job_us.saturating_sub(batch_wait_us),
-                    // "Hit" = no fresh trace replay was charged to this
-                    // request's own worker thread (memoized, or a batch
-                    // leader computed it on this request's behalf).
-                    cache_hit: snap
-                        .counters
-                        .get("store.profile.memo_misses")
-                        .copied()
-                        .unwrap_or(0)
-                        == 0,
-                };
-                if !finish(&mut stream, service, kind, received, phases, &response) {
-                    return;
-                }
+                let (response, phases) = service.admit(req.kind(), || service.execute(&req));
+                (req.kind(), response, phases)
             }
+        };
+        let sent = finish(&mut stream, service, kind, received, phases, &response);
+        if shutdown {
+            request_stop(stop, addr);
+        }
+        if shutdown || !sent {
+            return;
         }
     }
-}
-
-/// The phase attribution of one request, before the response write.
-#[derive(Debug, Default)]
-struct Phases {
-    queue_us: u64,
-    batch_wait_us: u64,
-    exec_us: u64,
-    cache_hit: bool,
-}
-
-/// Saturating `Duration` → whole microseconds.
-fn micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Writes the response frame, stamps the request's telemetry record,
@@ -428,11 +338,6 @@ fn finish(
         cache_hit: phases.cache_hit,
     });
     sent
-}
-
-/// Writes one response frame; `false` when the peer is gone.
-fn respond(stream: &mut TcpStream, response: &Response) -> bool {
-    write_frame(stream, &encode_response(response)).is_ok()
 }
 
 #[cfg(test)]
@@ -477,6 +382,19 @@ mod tests {
         let local =
             Service::new(Arc::new(ArtifactStore::new()), 1, Duration::ZERO).execute(&profile_req());
         assert_eq!(over_wire, local, "wire and local bodies must be identical");
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let server = start_test_server();
+        let addr = server.addr().to_string();
+        for _ in 0..64 {
+            let resp = client::call(&addr, &Request::Ping).expect("ping");
+            assert_eq!(resp, Response::ok("pong\n"));
+        }
+        let live = server.conns.lock().expect("server conns").len();
+        assert!(live <= 8, "{live} connection handles kept after 64 closed");
+        server.stop_and_join();
     }
 
     #[test]
@@ -544,7 +462,7 @@ mod tests {
             Response::Err { code, message } => panic!("telemetry failed {code}: {message}"),
         };
         let v: serde::Value = serde_json::from_str(body.trim_end()).expect("telemetry is JSON");
-        assert_eq!(num(v.get("fosm_telemetry").expect("schema tag")), 2);
+        assert_eq!(num(v.get("fosm_telemetry").expect("schema tag")), 3);
 
         // Phase histograms reconcile per request kind: the disjoint
         // sub-phases can never sum past the measured total.

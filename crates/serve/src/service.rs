@@ -10,16 +10,17 @@
 //! The handlers themselves are thin: they translate protocol types
 //! into the existing pipeline (workload specs, probes, the memoizing
 //! artifact store, the first-order model) and render with the same
-//! format strings as `crates/cli`. Concurrency lives in the layers
-//! this service composes: the [`WorkerPool`](crate::pool::WorkerPool)
-//! runs each request on one worker, in arrival order, and the
-//! [`Batcher`](crate::batch::Batcher) coalesces same-trace profile
-//! work. A request never fans out over the pool; `explore` sweeps its
-//! whole grid on its own worker.
+//! format strings as `crates/cli`. Concurrency lives in two places:
+//! [`Service::admit`] runs each request on its caller's thread once a
+//! FIFO permit is free, so at most `workers` requests run at once, in
+//! arrival order; and the [`Batcher`](crate::batch::Batcher) coalesces
+//! same-trace profile work. A request never fans out; `explore` sweeps
+//! its whole grid on the thread that admitted it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use fosm_bench::harness;
 use fosm_bench::store::ArtifactStore;
@@ -31,42 +32,107 @@ use fosm_validate::ToleranceSpec;
 use fosm_workloads::BenchmarkSpec;
 
 use crate::batch::{BatchStats, Batcher, LEADER_PANICKED};
-use crate::pool::{PoolStats, WorkerPool};
 use crate::proto::{ExploreRequest, ProfileRequest, Request, Response, ValidateRequest};
 use crate::telemetry::{Telemetry, TELEMETRY_SCHEMA_VERSION};
 
-/// The request executor: artifact store + batcher + worker pool.
-pub struct Service {
-    store: Arc<ArtifactStore>,
-    batcher: Arc<Batcher>,
-    pool: Arc<WorkerPool>,
-    telemetry: Arc<Telemetry>,
-    requests: AtomicU64,
+/// FIFO admission: tickets are issued in arrival order, and ticket `t`
+/// may run once `t < released + workers`, so at most `workers` holders
+/// run at once and the queue never reorders.
+#[derive(Debug)]
+struct Admission {
+    workers: u64,
+    tickets: Mutex<Tickets>,
+    turn: Condvar,
 }
 
-impl std::fmt::Debug for Service {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Service")
-            .field("pool", &self.pool.stats())
-            .finish_non_exhaustive()
+#[derive(Debug, Default)]
+struct Tickets {
+    issued: u64,
+    released: u64,
+}
+
+/// A held admission; dropping it, unwinding included, admits the next
+/// ticket.
+struct Permit<'a>(&'a Admission);
+
+impl Admission {
+    fn new(workers: usize) -> Admission {
+        Admission {
+            workers: workers.max(1) as u64,
+            tickets: Mutex::default(),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// Takes the next ticket and waits until it is admitted.
+    fn acquire(&self) -> Permit<'_> {
+        let mut tickets = self.tickets.lock().expect("admission tickets");
+        let ticket = tickets.issued;
+        tickets.issued += 1;
+        while ticket >= tickets.released.saturating_add(self.workers) {
+            tickets = self.turn.wait(tickets).expect("admission tickets");
+        }
+        Permit(self)
+    }
+
+    /// `(admitted, waiting)` tickets; admitted ones have finished, are
+    /// running, or were just woken to run.
+    fn counts(&self) -> (u64, u64) {
+        let tickets = self.tickets.lock().expect("admission tickets");
+        let admitted = tickets
+            .issued
+            .min(tickets.released.saturating_add(self.workers));
+        (admitted, tickets.issued - admitted)
     }
 }
 
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.tickets.lock().expect("admission tickets").released += 1;
+        self.0.turn.notify_all();
+    }
+}
+
+/// Where one admitted request's time went before its response was
+/// written (see [`telemetry`](crate::telemetry) for the phases).
+#[derive(Debug, Default)]
+pub struct Phases {
+    /// Wait for a permit, µs.
+    pub queue_us: u64,
+    /// Batcher wait while holding the permit, µs.
+    pub batch_wait_us: u64,
+    /// The rest of the time holding the permit, µs.
+    pub exec_us: u64,
+    /// No fresh trace replay was charged to this request's thread.
+    pub cache_hit: bool,
+}
+
+/// The request executor: artifact store, batcher and admission permits.
+pub struct Service {
+    store: Arc<ArtifactStore>,
+    batcher: Arc<Batcher>,
+    admission: Admission,
+    telemetry: Arc<Telemetry>,
+    requests: AtomicU64,
+    panics: AtomicU64,
+}
+
 impl Service {
-    /// A service over `store` with `workers` pool threads and the
-    /// given batching window.
+    /// A service over `store` that runs at most `workers` requests at
+    /// once, with the given batching window.
     pub fn new(store: Arc<ArtifactStore>, workers: usize, window: Duration) -> Service {
         Service {
             store,
             batcher: Arc::new(Batcher::new(window)),
-            pool: Arc::new(WorkerPool::new(workers)),
+            admission: Admission::new(workers),
             telemetry: Arc::new(Telemetry::from_env()),
             requests: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         }
     }
 
-    /// A single-threaded service over a fresh store (the
-    /// `fosm client --local` path): no batching window, one worker.
+    /// A service over a fresh store (the `fosm client --local` path):
+    /// no batching window, one permit.
     /// With `FOSM_CACHE_DIR` set, the store is disk-backed, so local
     /// runs share artifacts with a daemon pointed at the same
     /// directory.
@@ -76,11 +142,6 @@ impl Service {
             store.attach_disk(Arc::new(disk));
         }
         Service::new(Arc::new(store), 1, Duration::ZERO)
-    }
-
-    /// The worker pool, for the server's request dispatch.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
     }
 
     /// The artifact store backing this service.
@@ -93,9 +154,49 @@ impl Service {
         &self.telemetry
     }
 
-    /// Stops the worker pool (drains queued work, joins threads).
-    pub fn shutdown(&self) {
-        self.pool.shutdown();
+    /// Does nothing: a service owns no threads. The benchmark's
+    /// byte-identity oracle still calls it; delete it with the next
+    /// change to the benchmark.
+    pub fn shutdown(&self) {}
+
+    /// Runs one request's `work` on this thread: waits for a FIFO
+    /// permit, runs `work` under a fresh scoped registry, folds that
+    /// registry into the global one and into the telemetry, and
+    /// releases the permit. A panicking `work` is answered `internal`,
+    /// naming `kind`, and counted in `serve.panics`; the permit is
+    /// released all the same.
+    pub fn admit(&self, kind: &str, work: impl FnOnce() -> Response) -> (Response, Phases) {
+        let arrived = Instant::now();
+        let _permit = self.admission.acquire();
+        let queue_us = micros(arrived.elapsed());
+        let started = Instant::now();
+        let registry = Arc::new(fosm_obs::Registry::new());
+        let outcome = {
+            let _scope = fosm_obs::scoped_registry(Arc::clone(&registry));
+            catch_unwind(AssertUnwindSafe(work))
+        };
+        let response = outcome.unwrap_or_else(|_| {
+            self.panics.fetch_add(1, Ordering::Relaxed);
+            registry.counter_add("serve.panics", 1);
+            let why = format!("the {kind} request panicked (see the daemon's stderr)");
+            Response::err("internal", why)
+        });
+        let snap = registry.snapshot();
+        fosm_obs::global().absorb(&snap);
+        self.telemetry.absorb(&snap);
+        // The batcher charges its waits to `serve.batch_wait_ns`, which
+        // comes back out of execute time.
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let batch_wait_us = counter("serve.batch_wait_ns") / 1_000;
+        let phases = Phases {
+            queue_us,
+            batch_wait_us,
+            exec_us: micros(started.elapsed()).saturating_sub(batch_wait_us),
+            // Memoized, or a batch leader computed it on this
+            // request's behalf.
+            cache_hit: counter("store.profile.memo_misses") == 0,
+        };
+        (response, phases)
     }
 
     /// Executes one request to completion and renders the response.
@@ -186,8 +287,8 @@ impl Service {
             seed: v.seed,
         }];
         let tol = ToleranceSpec::gate();
-        // One case; the sweep's own fan-out would fight the request
-        // pool for cores, so it runs single-threaded here.
+        // One case; the sweep's own fan-out would fight the other
+        // admitted requests for cores, so it runs single-threaded here.
         let options = fosm_validate::differential::SweepOptions {
             threads: 1,
             statsim: false,
@@ -230,7 +331,7 @@ impl Service {
             .profile(&self.store, &params, probe, &spec, e.insts, e.seed)
             .map_err(batch_error)?;
 
-        // One sweep over the whole grid, on this request's own worker.
+        // One sweep over the whole grid, on this request's own thread.
         let model = FirstOrderModel::new(params);
         let tag = fosm_explore::ShardTag {
             workload: 0,
@@ -255,15 +356,15 @@ impl Service {
     /// job greps `store.disk_hit` here, so the line set and spelling
     /// are a stable interface.
     fn stats_body(&self) -> String {
-        let pool: PoolStats = self.pool.stats();
+        let (executed, _) = self.admission.counts();
         let batch: BatchStats = self.batcher.stats();
         let store = self.store.stats();
         let disk = self.store.disk().map(|d| d.stats()).unwrap_or_default();
         let mut out = String::new();
         for (key, value) in [
             ("serve.requests", self.requests.load(Ordering::Relaxed)),
-            ("pool.workers", pool.workers as u64),
-            ("pool.executed", pool.executed),
+            ("pool.workers", self.admission.workers),
+            ("pool.executed", executed),
             ("batch.passes", batch.passes),
             ("batch.coalesced", batch.coalesced),
             ("store.trace_hit", store.trace_hits),
@@ -281,18 +382,18 @@ impl Service {
         out
     }
 
-    /// `telemetry`: one line of schema-versioned JSON — request totals,
-    /// pool/batch traffic, per-kind phase histograms, and the flight
-    /// recorder. Unlike `stats` (a frozen byte interface), this body
+    /// `telemetry`: one line of schema-versioned JSON — request and
+    /// panic totals, admission/batch traffic, per-kind phase
+    /// histograms, and the flight recorder. Unlike `stats` (a frozen byte interface), this body
     /// is versioned by its `fosm_telemetry` field: it may grow fields
     /// within a version, and dropping one bumps the version.
     fn telemetry_body(&self) -> String {
-        let pool: PoolStats = self.pool.stats();
+        let (executed, queue_depth) = self.admission.counts();
         let batch: BatchStats = self.batcher.stats();
         // Export the live queue depth as a gauge too: under a request
         // scope it lands in the scoped registry and is absorbed into
         // the global manifest (last write wins).
-        fosm_obs::gauge_set("serve.pool.queue_depth", pool.queue_depth as f64);
+        fosm_obs::gauge_set("serve.pool.queue_depth", queue_depth as f64);
         let mut out = String::with_capacity(1024);
         out.push_str("{\"fosm_telemetry\":");
         out.push_str(&TELEMETRY_SCHEMA_VERSION.to_string());
@@ -304,12 +405,13 @@ impl Service {
         });
         out.push_str(",\"requests\":");
         out.push_str(&self.requests.load(Ordering::Relaxed).to_string());
+        out.push_str(",\"panics\":");
+        out.push_str(&self.panics.load(Ordering::Relaxed).to_string());
         out.push_str(",\"pool\":{");
         for (i, (key, value)) in [
-            ("workers", pool.workers as u64),
-            ("executed", pool.executed),
-            ("parks", pool.parks),
-            ("queue_depth", pool.queue_depth as u64),
+            ("workers", self.admission.workers),
+            ("executed", executed),
+            ("queue_depth", queue_depth),
         ]
         .into_iter()
         .enumerate()
@@ -333,6 +435,11 @@ impl Service {
         out.push_str("}\n");
         out
     }
+}
+
+/// Saturating `Duration` → whole microseconds.
+pub(crate) fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// A batcher failure as a response: a panicked batch leader is the
@@ -580,12 +687,13 @@ mod tests {
             cache_hit: true,
         });
         let out = body(service.execute(&Request::Telemetry));
-        assert!(out.starts_with("{\"fosm_telemetry\":2,"));
+        assert!(out.starts_with("{\"fosm_telemetry\":3,"));
         assert!(out.ends_with("}\n"));
         let v: serde::Value = serde_json::from_str(out.trim_end()).expect("valid JSON");
+        assert_eq!(v.get("panics"), Some(&serde::Value::Num("0".into())));
         let pool = v.get("pool").expect("pool section");
         assert!(pool.get("queue_depth").is_some());
-        assert!(pool.get("steals").is_none() && pool.get("caller_runs").is_none());
+        assert!(pool.get("parks").is_none() && pool.get("steals").is_none());
         assert!(v.get("batch").and_then(|b| b.get("passes")).is_some());
         let hists = v.get("hists").expect("hists section");
         assert!(hists.get("serve.total_us.ping").is_some());
@@ -606,5 +714,83 @@ mod tests {
         ] {
             assert!(out.contains(key), "stats missing `{key}`:\n{out}");
         }
+    }
+
+    #[test]
+    fn permits_bound_how_many_requests_run_at_once() {
+        let admission = Admission::new(3);
+        let (running, peak) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..12 {
+                s.spawn(|| {
+                    let _permit = admission.acquire();
+                    peak.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(5));
+                    running.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+        });
+        let peak = peak.into_inner();
+        assert!((1..=3).contains(&peak), "{peak} ran at once on 3 permits");
+        assert_eq!(admission.counts(), (12, 0));
+    }
+
+    #[test]
+    fn a_huge_permit_count_never_wraps_into_a_wait() {
+        let admission = Admission::new(usize::MAX);
+        for _ in 0..3 {
+            drop(admission.acquire());
+        }
+        let _held = admission.acquire();
+        assert_eq!(admission.counts(), (4, 0));
+    }
+
+    #[test]
+    fn waiters_are_counted_and_admitted_in_ticket_order() {
+        let admission = Admission::new(1);
+        let order = Mutex::new(Vec::new());
+        let (admission, order) = (&admission, &order);
+        std::thread::scope(|s| {
+            let held = admission.acquire();
+            for i in 0..6 {
+                s.spawn(move || {
+                    let _permit = admission.acquire();
+                    order.lock().expect("order").push(i);
+                });
+                // Ticket `i + 1` is issued before the next thread starts.
+                while admission.counts().1 <= i {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            assert_eq!(admission.counts(), (1, 6), "one running, six waiting");
+            drop(held);
+        });
+        assert_eq!(*order.lock().expect("order"), (0..6).collect::<Vec<u64>>());
+        assert_eq!(admission.counts(), (7, 0));
+    }
+
+    #[test]
+    fn a_panicking_request_is_internal_counted_and_frees_its_permit() {
+        let service = Service::new(Arc::new(ArtifactStore::new()), 1, Duration::ZERO);
+        match service
+            .admit("model", || panic!("injected request panic"))
+            .0
+        {
+            Response::Err { code, message } => {
+                assert_eq!(code, "internal");
+                assert!(message.contains("the model request panicked"), "{message}");
+            }
+            Response::Ok { body } => panic!("unexpected success: {body}"),
+        }
+        // With its one permit held by the panicked request, either call
+        // below would wait forever.
+        let (telemetry, _) = service.admit("telemetry", || service.execute(&Request::Telemetry));
+        let telemetry = body(telemetry);
+        let v: serde::Value = serde_json::from_str(telemetry.trim_end()).expect("valid JSON");
+        assert_eq!(v.get("panics"), Some(&serde::Value::Num("1".into())));
+        let (ping, _) = service.admit("ping", || service.execute(&Request::Ping));
+        assert_eq!(body(ping), "pong\n");
+        let counters = fosm_obs::global().snapshot().counters;
+        assert!(counters.get("serve.panics").is_some_and(|&n| n >= 1));
     }
 }

@@ -11,16 +11,16 @@
 //!
 //! Phase definitions (all microseconds, per request):
 //!
-//! * `queue_us` — submitted to the FIFO worker pool → a worker popped
-//!   the job, i.e. the wait behind every request queued before it;
-//! * `batch_wait_us` — wall-clock the job spent parked inside the
+//! * `queue_us` — the wait for a FIFO admission permit, i.e. behind
+//!   every request that arrived before it while all permits were held;
+//! * `batch_wait_us` — wall-clock the request spent parked inside the
 //!   [`Batcher`](crate::batch::Batcher) (follower waiting for its
 //!   leader's broadcast, or leader waiting out the batching window);
 //!   0 for a request whose profile was already in memory, which never
 //!   enters a batch;
-//! * `exec_us` — job wall-clock minus `batch_wait_us`: time actually
-//!   computing this request, and only this one (a job runs one request
-//!   on one worker, and never runs another request's work);
+//! * `exec_us` — time holding the permit minus `batch_wait_us`: time
+//!   actually computing this request, and only this one (a permit
+//!   holder runs one request, and never runs another request's work);
 //! * `respond_us` — writing the response frame;
 //! * `total_us` — request frame fully read → response frame written.
 //!
@@ -42,8 +42,9 @@ use fosm_obs::Registry;
 
 /// Version tag of the telemetry snapshot schema (the `fosm_telemetry`
 /// field of the JSON body). Version 2 dropped the pool's `steals` and
-/// `caller_runs` fields, which the FIFO pool no longer has.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 2;
+/// `caller_runs` fields; version 3 dropped `parks` (nothing parks
+/// without worker threads) and added the top-level `panics` count.
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 3;
 
 /// Default flight-recorder capacity (records kept).
 pub const DEFAULT_FLIGHT_CAP: usize = 256;
@@ -58,12 +59,12 @@ pub struct RequestRecord {
     pub kind: &'static str,
     /// `ok`, or the structured error code the client received.
     pub outcome: String,
-    /// Pool queue wait, µs.
+    /// Admission permit wait, µs.
     pub queue_us: u64,
     /// Batcher wait (leader window + follower park), µs; 0 when every
     /// profile the request needed was already in memory.
     pub batch_wait_us: u64,
-    /// Compute time (job wall minus batch wait), µs.
+    /// Compute time (permit held minus batch wait), µs.
     pub exec_us: u64,
     /// Response frame write, µs.
     pub respond_us: u64,
@@ -72,7 +73,7 @@ pub struct RequestRecord {
     /// Response payload size, bytes.
     pub resp_bytes: u64,
     /// True when no fresh trace replay was charged to this request's
-    /// worker thread (every profile it needed was memoized or computed
+    /// own thread (every profile it needed was memoized or computed
     /// by a batch leader on its behalf).
     pub cache_hit: bool,
 }
@@ -325,7 +326,7 @@ impl Telemetry {
 
     /// Writes the `"hists"` and `"flight"` sections of the telemetry
     /// body (the [`Service`](crate::service::Service) wraps them with
-    /// the pool/batch/store summary it owns).
+    /// the admission/batch summary it owns).
     pub fn write_json_sections(&self, out: &mut String) {
         out.push_str("\"hists\":{");
         let snap = self.registry.snapshot();

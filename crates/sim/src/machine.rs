@@ -809,8 +809,10 @@ impl Machine {
                 0,
             ));
         }
-        report.observe_into(fosm_obs::global(), "sim");
-        fosm_obs::global().counter_add("sim.cycles_skipped", cycles_skipped);
+        fosm_obs::with_registry(|registry| {
+            report.observe_into(registry, "sim");
+            registry.counter_add("sim.cycles_skipped", cycles_skipped);
+        });
         report
     }
 }

@@ -22,14 +22,13 @@ fn run(config: &MachineConfig, insts: &[Inst], skip: bool) -> (SimReport, Vec<St
     (report, events.iter().map(|e| format!("{e:?}")).collect())
 }
 
-/// Cycles skipped by one run, read from the global `sim.cycles_skipped`
-/// counter. Concurrent tests only ever add to it, so the delta is an
-/// upper bound; callers assert lower bounds.
-fn skipped_at_least(config: &MachineConfig, insts: &[Inst]) -> u64 {
-    let counter = || fosm_obs::global().counter("sim.cycles_skipped");
-    let before = counter();
+/// Cycles skipped by one run, read from the `sim.cycles_skipped`
+/// counter of a registry scoped to that run alone.
+fn skipped(config: &MachineConfig, insts: &[Inst]) -> u64 {
+    let registry = std::sync::Arc::new(fosm_obs::Registry::new());
+    let _scope = fosm_obs::scoped_registry(std::sync::Arc::clone(&registry));
     Machine::new(config.clone()).run(&mut VecTrace::new(insts.to_vec()));
-    counter() - before
+    registry.counter("sim.cycles_skipped")
 }
 
 /// A valid machine: width 2-8 (rounded up to a multiple of the cluster
@@ -151,7 +150,7 @@ fn long_misses_are_skipped_not_stepped() {
     let config = MachineConfig::baseline();
     let report = Machine::new(config.clone()).run(&mut VecTrace::new(insts.clone()));
     assert!(report.dcache_long_misses > 10, "{report:?}");
-    let skipped = skipped_at_least(&config, &insts);
+    let skipped = skipped(&config, &insts);
     assert!(
         skipped * 3 > report.cycles * 2,
         "skipped {skipped} of {} cycles",

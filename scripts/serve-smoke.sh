@@ -3,9 +3,10 @@
 # profile/model requests with byte-identity verification against
 # in-process execution, spot-check wire vs one-shot CLI bytes, assert
 # the telemetry snapshot (`fosm top --once --json`) is populated under
-# load and counts memory hits that skipped the batcher, then shut down
-# cleanly — the daemon must join every thread and
-# exit 0.
+# load and counts memory hits that skipped the batcher, check that the
+# idle daemon runs only its main and accept threads and that sequential
+# connections do not grow its address space, then shut down cleanly —
+# the daemon must join every thread and exit 0.
 #
 # Usage: scripts/serve-smoke.sh
 #        FOSM overrides the binary path; TELEMETRY_OUT overrides where
@@ -57,7 +58,7 @@ echo "--- daemon stats ---"
 SNAPSHOT="${TELEMETRY_OUT:-$PWD/telemetry-snapshot.json}"
 "$FOSM" top --addr "$ADDR" --once --json > "$WORK/telemetry.json"
 cp "$WORK/telemetry.json" "$SNAPSHOT"
-for needle in '"fosm_telemetry":2' \
+for needle in '"fosm_telemetry":3' \
               '"serve.queue_us.profile"' \
               '"serve.exec_us.model"' \
               '"serve.total_us.profile"' \
@@ -80,8 +81,34 @@ echo "--- fosm top (one frame) ---"
 "$FOSM" top --addr "$ADDR" --once
 echo "telemetry snapshot saved to $SNAPSHOT"
 
-# Clean shutdown: the daemon must exit 0 (it joins the accept loop,
-# every connection thread, and the worker pool before returning).
+# Idle daemon: once the load's connections close, only the main and
+# accept threads remain, whatever --workers says, and 300 sequential
+# connections leave no thread stacks behind (the accept loop joins
+# each finished connection thread).
+status_field() { awk -v key="$1:" '$1 == key { print $2 }' "/proc/$SERVE_PID/status"; }
+threads=""
+for _ in $(seq 1 50); do
+  threads="$(status_field Threads)"
+  [ "$threads" -le 2 ] && break
+  sleep 0.1
+done
+if [ "$threads" -gt 2 ]; then
+  echo "idle daemon runs $threads threads (want at most 2)" >&2
+  exit 1
+fi
+vm_before="$(status_field VmSize)"
+for _ in $(seq 1 300); do
+  "$FOSM" client ping --addr "$ADDR" > /dev/null
+done
+vm_growth=$(( $(status_field VmSize) - vm_before ))
+echo "idle daemon: $threads threads; VmSize grew ${vm_growth} kB over 300 pings"
+if [ "$vm_growth" -ge $((64 * 1024)) ]; then
+  echo "VmSize grew ${vm_growth} kB over 300 sequential connections (limit 65536 kB)" >&2
+  exit 1
+fi
+
+# Clean shutdown: the daemon must exit 0 (it joins the accept loop and
+# every connection thread before returning).
 "$FOSM" client shutdown --addr "$ADDR"
 for _ in $(seq 1 300); do
   kill -0 "$SERVE_PID" 2>/dev/null || break
