@@ -351,32 +351,6 @@ impl ArtifactStore {
         WorkloadGenerator::from_program(program, seed)
     }
 
-    /// The memoized profile of `probe` on `(spec, n, seed)` under
-    /// `params`, if the in-memory table already holds it. Checks memory
-    /// only: no disk read and no collection. A hit is counted exactly
-    /// as [`profile_many`](Self::profile_many) counts one; a miss is
-    /// not counted at all, because the caller is expected to fall back
-    /// to `profile_many`, which counts it.
-    pub fn memoized_profile(
-        &self,
-        params: &ProcessorParams,
-        probe: &Probe,
-        spec: &BenchmarkSpec,
-        n: u64,
-        seed: u64,
-    ) -> Option<Arc<ProgramProfile>> {
-        let key = profile_key(&trace_key(spec, n, seed), params, probe);
-        let profile = self
-            .profiles
-            .lock()
-            .expect("store lock")
-            .get(&key)
-            .cloned()?;
-        self.profile_traffic.hit();
-        fosm_obs::counter_add("store.profile.memo_hits", 1);
-        Some(profile)
-    }
-
     /// One functional profile per probe, collected from an on-disk
     /// corpus file instead of a recorded workload. Keys gain the
     /// corpus's file identity (path + byte size + content digest), so
@@ -424,7 +398,13 @@ impl ArtifactStore {
         let keys: Vec<_> = bank
             .probes()
             .iter()
-            .map(|probe| profile_key(tkey, params, probe))
+            .map(|probe| {
+                (
+                    tkey.clone(),
+                    probe_config_key(params, probe),
+                    probe.name.clone(),
+                )
+            })
             .collect();
         let mut slots: Vec<Option<Arc<ProgramProfile>>> = {
             let table = self.profiles.lock().expect("store lock");
@@ -568,17 +548,6 @@ fn disk_profile_key(key: &ProfileKey) -> String {
     format!("{key:?}")
 }
 
-/// The profile key of `probe` on the trace `tkey` under `params`: the
-/// one definition shared by the batch path and the memory-only lookup,
-/// so the two can never disagree on a key.
-fn profile_key(tkey: &TraceKey, params: &ProcessorParams, probe: &Probe) -> ProfileKey {
-    (
-        tkey.clone(),
-        probe_config_key(params, probe),
-        probe.name.clone(),
-    )
-}
-
 /// Configuration half of a profile key: the full functional setup,
 /// including the optional data TLB, so no two probe configurations can
 /// share an entry.
@@ -678,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_profile_matches_direct_run() {
+    fn profile_matches_direct_run() {
         let store = ArtifactStore::new();
         let spec = BenchmarkSpec::gzip();
         let params = harness::params_of(&MachineConfig::baseline());
@@ -926,58 +895,5 @@ mod tests {
             ..p.clone()
         };
         assert_eq!(strip(&streamed), strip(&replayed));
-    }
-
-    #[test]
-    fn memoized_profile_reads_memory_only_and_counts_only_hits() {
-        let store = ArtifactStore::new();
-        let spec = BenchmarkSpec::gzip();
-        let params = harness::params_of(&MachineConfig::baseline());
-        let probe = Probe::new(spec.name.clone()).with_predictor(PredictorConfig::Ideal);
-        let registry = Arc::new(fosm_obs::Registry::new());
-        let _scope = fosm_obs::scoped_registry(Arc::clone(&registry));
-
-        assert!(store
-            .memoized_profile(&params, &probe, &spec, 3_000, harness::SEED)
-            .is_none());
-        let s = store.stats();
-        assert_eq!(
-            (s.profile_hits, s.profile_misses),
-            (0, 0),
-            "a miss counts nothing"
-        );
-        assert_eq!(s.trace_misses, 0, "no trace recorded on a miss");
-
-        let filled = store
-            .profile_many(
-                &params,
-                &ProbeBank::from(vec![probe.clone()]),
-                &spec,
-                3_000,
-                harness::SEED,
-            )
-            .expect("fill")
-            .pop()
-            .expect("one profile");
-        let before = store.stats();
-        let memo = store
-            .memoized_profile(&params, &probe, &spec, 3_000, harness::SEED)
-            .expect("hit after the fill");
-        assert!(Arc::ptr_eq(&memo, &filled));
-        let after = store.stats();
-        assert_eq!(after.profile_hits, before.profile_hits + 1, "one hit");
-        assert_eq!(after.profile_misses, before.profile_misses, "no miss");
-        assert_eq!(registry.counter("store.profile.memo_hits"), 1);
-        assert_eq!(
-            registry.counter("store.profile.memo_misses"),
-            1,
-            "the fill's"
-        );
-
-        // Another probe name on the same trace is a different key.
-        let other = Probe::new("other").with_predictor(PredictorConfig::Ideal);
-        assert!(store
-            .memoized_profile(&params, &other, &spec, 3_000, harness::SEED)
-            .is_none());
     }
 }

@@ -237,7 +237,6 @@ pub static COMMANDS: &[Spec] = &[
     Spec { usage: "serve", run: serve_cmd::serve, shared: &[], flags: &[
         value("addr", "A", "listen address (127.0.0.1:0 = any port)"),
         value("workers", "N", "requests run at once (all cores)"),
-        value("batch-window", "MS", "request-batching window (2); memoized profiles skip it"),
         value("port-file", "P", "write the bound address to P"),
         switch("no-telemetry", "disable per-request histograms and the flight recorder"),
     ]},

@@ -16,7 +16,6 @@ use std::time::Duration;
 
 use fosm_bench::disk::DiskCache;
 use fosm_bench::store::ArtifactStore;
-use fosm_serve::batch::DEFAULT_WINDOW;
 use fosm_serve::proto::{
     ExploreRequest, MachineSpec, ProfileRequest, Request, Response, ValidateRequest,
 };
@@ -43,14 +42,7 @@ pub fn serve(args: Parsed) -> Result<(), String> {
         .get("workers")?
         .unwrap_or_else(fosm_bench::par::available_threads)
         .max(1);
-    let window_ms: u64 = args
-        .get("batch-window")?
-        .unwrap_or(DEFAULT_WINDOW.as_millis() as u64);
-    let service = Arc::new(Service::new(
-        env_store(),
-        workers,
-        Duration::from_millis(window_ms),
-    ));
+    let service = Arc::new(Service::new(env_store(), workers, Duration::ZERO));
     if args.has("no-telemetry") {
         service.telemetry().set_enabled(false);
     }
@@ -337,14 +329,6 @@ fn render_top(addr: &str, body: &str) -> Result<String, String> {
             json_u64(pool.get("queue_depth")),
         ));
     }
-    if let Some(batch) = v.get("batch") {
-        out.push_str(&format!(
-            "batch: {} passes, {} requests coalesced, {} memo hits\n",
-            json_u64(batch.get("passes")),
-            json_u64(batch.get("coalesced")),
-            json_u64(batch.get("memo_hits")),
-        ));
-    }
     out.push_str(&format!(
         "\n{:<32} {:>8} {:>12} {:>12} {:>12}\n",
         "histogram", "count", "p50 <=", "p99 <=", "max"
@@ -372,13 +356,12 @@ fn render_top(addr: &str, body: &str) -> Result<String, String> {
             for rec in records.iter().skip(records.len().saturating_sub(TAIL)) {
                 out.push_str(&format!(
                     "  #{:<6} {:<10} {:<14} total {:>8} us \
-                     (queue {} + batch {} + exec {} us, {} B{})\n",
+                     (queue {} + exec {} us, {} B{})\n",
                     json_u64(rec.get("seq")),
                     json_str(rec.get("kind")),
                     json_str(rec.get("outcome")),
                     json_u64(rec.get("total_us")),
                     json_u64(rec.get("queue_us")),
-                    json_u64(rec.get("batch_wait_us")),
                     json_u64(rec.get("exec_us")),
                     json_u64(rec.get("resp_bytes")),
                     if matches!(rec.get("cache_hit"), Some(serde::Value::Bool(true))) {
@@ -394,7 +377,7 @@ fn render_top(addr: &str, body: &str) -> Result<String, String> {
 }
 
 /// `fosm top`: polls the daemon's `telemetry` request and renders the
-/// per-kind phase histograms, pool/batch counters, and flight-recorder
+/// per-kind phase histograms, pool counters, and flight-recorder
 /// tail, redrawing in place until interrupted. `--once --json` is the
 /// CI-friendly form: the raw body lands on stdout verbatim.
 pub fn top(args: Parsed) -> Result<(), String> {
@@ -433,18 +416,17 @@ mod tests {
 
     #[test]
     fn render_top_formats_every_section() {
-        let body = r#"{"fosm_telemetry":3,"enabled":true,"requests":3,"panics":1,
+        let body = r#"{"fosm_telemetry":4,"enabled":true,"requests":3,"panics":1,
             "pool":{"workers":4,"executed":7,"queue_depth":2},
-            "batch":{"passes":5,"coalesced":2,"memo_hits":4},
             "hists":{"serve.total_us.ping":{"count":3,"sum":30,"min":8,
                      "max":12,"p50":15,"p99":15,"buckets":{"4":3}}},
             "flight":{"capacity":256,"dropped":0,"records":[
                 {"seq":1,"kind":"ping","outcome":"ok","queue_us":1,
-                 "batch_wait_us":0,"exec_us":2,"respond_us":1,
+                 "exec_us":2,"respond_us":1,
                  "total_us":9,"resp_bytes":5,"cache_hit":true}]}}"#;
         let table = render_top("127.0.0.1:9", body).expect("renders");
         assert!(
-            table.starts_with("fosm top — 127.0.0.1:9 (telemetry schema v3, 3 requests"),
+            table.starts_with("fosm top — 127.0.0.1:9 (telemetry schema v4, 3 requests"),
             "{table}"
         );
         assert!(
@@ -452,7 +434,7 @@ mod tests {
             "{table}"
         );
         assert!(
-            table.contains("batch: 5 passes, 2 requests coalesced, 4 memo hits"),
+            table.contains("(queue 1 + exec 2 us, 5 B, cache hit)"),
             "{table}"
         );
         assert!(table.contains("serve.total_us.ping"), "{table}");
@@ -465,7 +447,7 @@ mod tests {
 
     #[test]
     fn render_top_flags_disabled_telemetry_and_rejects_garbage() {
-        let body = r#"{"fosm_telemetry":3,"enabled":false,"requests":0,
+        let body = r#"{"fosm_telemetry":4,"enabled":false,"requests":0,
             "hists":{},"flight":{"capacity":256,"dropped":0,"records":[]}}"#;
         let table = render_top("a:1", body).expect("renders");
         assert!(table.contains("TELEMETRY DISABLED"), "{table}");

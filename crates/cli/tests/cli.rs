@@ -596,6 +596,37 @@ fn explore_rejects_invalid_grids_up_front() {
         err.contains("`depths` value 4294967295 exceeds the pipe_depth maximum 256"),
         "{err}"
     );
+
+    // Six axes of 2048 valid values: 2^66 points, which must be
+    // refused, not wrapped to 0 and swept.
+    let axis = |value: &str| vec![value; 2048].join(",");
+    let axes = [
+        ("--widths", axis("4")),
+        ("--windows", axis("32")),
+        ("--robs", axis("128")),
+        ("--depths", axis("5")),
+        ("--l2s", axis("12")),
+        ("--mems", axis("200")),
+    ];
+    let mut args = vec![
+        "explore",
+        "--bench",
+        "gzip",
+        "--insts",
+        "5000",
+        "--threads",
+        "1",
+    ];
+    for (flag, values) in &axes {
+        args.extend([*flag, values.as_str()]);
+    }
+    let out = fosm(&args);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        err.contains("the grid has more than 2^64 - 1 points"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -734,13 +765,7 @@ fn surface() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
         (&["metrics", "diff"], &["max-regress"], &[]),
         (
             &["serve"],
-            &[
-                "addr",
-                "workers",
-                "batch-window",
-                "port-file",
-                "no-telemetry",
-            ],
+            &["addr", "workers", "port-file", "no-telemetry"],
             &[],
         ),
         (&["client", "ping"], &[], &[CONNECT]),
@@ -878,9 +903,14 @@ fn malformed_flags_name_the_flag_and_the_command() {
             vec!["validate", "--fuzz", "8", "--check"],
             "flag --fuzz of `fosm validate` excludes --check",
         ),
+        // The request batcher's window flag is gone with the batcher.
+        (
+            vec!["serve", "--batch-window", "2"],
+            "unknown flag --batch-window for `fosm serve`",
+        ),
     ] {
         let out = fosm(&argv);
-        assert!(!out.status.success(), "{argv:?} exited 0");
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
         let err = String::from_utf8_lossy(&out.stderr).into_owned();
         assert!(err.contains(needle), "{argv:?}: {err}");
     }

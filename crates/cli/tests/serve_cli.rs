@@ -142,6 +142,23 @@ fn client_errors_are_structured_and_nonzero() {
     assert!(err.contains("bad-request"), "{err}");
     assert!(err.contains("pipe_depth"), "{err}");
 
+    // An instruction count past the request budget is refused before
+    // any work, instead of streaming without end.
+    let out = fosm(&[
+        "client",
+        "model",
+        "--local",
+        "--insts",
+        "18446744073709551615",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("bad-request"), "{err}");
+    assert!(
+        err.contains("`insts` 18446744073709551615 exceeds the maximum 4194304"),
+        "{err}"
+    );
+
     let out = fosm(&["client", "frobnicate", "--local"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown client action"));
@@ -250,7 +267,7 @@ fn top_once_json_returns_populated_telemetry_snapshot() {
         String::from_utf8_lossy(&out.stderr)
     );
     let body = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(body.contains("\"fosm_telemetry\":3"), "{body}");
+    assert!(body.contains("\"fosm_telemetry\":4"), "{body}");
     assert!(body.contains("\"serve.total_us.ping\""), "{body}");
     assert!(body.contains("\"serve.queue_us.profile\""), "{body}");
     assert!(body.contains("\"kind\":\"ping\""), "{body}");
@@ -260,7 +277,7 @@ fn top_once_json_returns_populated_telemetry_snapshot() {
     let out = fosm(&["client", "telemetry", "--addr", &addr]);
     assert!(out.status.success());
     assert!(
-        String::from_utf8_lossy(&out.stdout).contains("\"fosm_telemetry\":3"),
+        String::from_utf8_lossy(&out.stdout).contains("\"fosm_telemetry\":4"),
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );

@@ -56,6 +56,8 @@ pub enum GridError {
     },
     /// A cache geometry is not realizable (bad set count / line size).
     BadGeometry(String),
+    /// The product of the axis lengths does not fit in a `u64`.
+    TooManyPoints,
 }
 
 impl std::fmt::Display for GridError {
@@ -82,6 +84,7 @@ impl std::fmt::Display for GridError {
                 )
             }
             GridError::BadGeometry(why) => write!(f, "bad cache geometry: {why}"),
+            GridError::TooManyPoints => write!(f, "the grid has more than 2^64 - 1 points"),
         }
     }
 }
@@ -119,14 +122,23 @@ impl MachineGrid {
         }
     }
 
-    /// Number of machine configurations in the grid.
+    /// Number of machine configurations in the grid, saturating at
+    /// `u64::MAX` ([`validate`](Self::validate) rejects such a grid).
     pub fn len(&self) -> u64 {
-        self.widths.len() as u64
-            * self.win_sizes.len() as u64
-            * self.rob_sizes.len() as u64
-            * self.pipe_depths.len() as u64
-            * self.l2_latencies.len() as u64
-            * self.mem_latencies.len() as u64
+        self.checked_len().unwrap_or(u64::MAX)
+    }
+
+    fn checked_len(&self) -> Option<u64> {
+        [
+            &self.widths,
+            &self.win_sizes,
+            &self.rob_sizes,
+            &self.pipe_depths,
+            &self.l2_latencies,
+            &self.mem_latencies,
+        ]
+        .iter()
+        .try_fold(1u64, |n, axis| n.checked_mul(axis.len() as u64))
     }
 
     /// Whether the grid has no configurations at all.
@@ -176,6 +188,7 @@ impl MachineGrid {
         if mem <= l2 {
             return Err(GridError::MemNotBeyondL2 { l2, mem });
         }
+        self.checked_len().ok_or(GridError::TooManyPoints)?;
         Ok(())
     }
 }
@@ -401,6 +414,20 @@ mod tests {
         let mut grid = MachineGrid::baseline_sweep();
         grid.pipe_depths = vec![0, 5];
         assert_eq!(grid.validate(), Err(GridError::ZeroValue("depths")));
+
+        // Six axes of 2^11 valid values: 2^66 points, which a plain
+        // product would wrap to 0.
+        let base = MachineGrid::baseline_sweep();
+        let huge = MachineGrid {
+            widths: vec![base.widths[0]; 2048],
+            win_sizes: vec![base.win_sizes[0]; 2048],
+            rob_sizes: vec![base.rob_sizes[0]; 2048],
+            pipe_depths: vec![base.pipe_depths[0]; 2048],
+            l2_latencies: vec![base.l2_latencies[0]; 2048],
+            mem_latencies: vec![base.mem_latencies[0]; 2048],
+        };
+        assert_eq!(huge.len(), u64::MAX);
+        assert_eq!(huge.validate(), Err(GridError::TooManyPoints));
     }
 
     /// The axis that sets the field `ProcessorParams::MAXIMA[i]` names.

@@ -10,13 +10,11 @@
 //! * [`proto`] — the wire protocol: length-prefixed JSON frames over
 //!   TCP, with structured errors for oversized, truncated, and
 //!   malformed input;
-//! * [`batch`] — leader–follower request batching that coalesces
-//!   concurrent same-trace probe requests into one fused
-//!   `profile_many` replay;
 //! * [`service`] — the request handlers, shared verbatim between the
 //!   daemon and the in-process `fosm client --local` path so responses
-//!   are byte-identical either way, and the FIFO admission permits that
-//!   bound how many requests run at once and catch a request's panic;
+//!   are byte-identical either way, the FIFO admission permits that
+//!   bound how many requests run at once and catch a request's panic,
+//!   and the per-request budgets (`insts`, explore grid points);
 //! * [`server`] — the TCP accept loop, one thread per connection that
 //!   runs its own requests under a permit, and graceful shutdown;
 //! * [`client`] — a small blocking client used by `fosm client` and
@@ -35,7 +33,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod client;
 pub mod loadgen;
 pub mod proto;

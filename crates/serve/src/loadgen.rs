@@ -37,7 +37,7 @@ const PROBES: [&str; 5] = ["full", "ideal", "branch", "icache", "dcache"];
 /// requests each. Consecutive requests of one client cycle through
 /// probe variants and alternate profile/model, while different clients
 /// start at different offsets — so at any instant the daemon sees a
-/// mix of identical-trace requests (batching fodder) and distinct
+/// mix of same-trace requests for different probes and distinct
 /// ones.
 pub fn plan(clients: usize, per_client: usize, insts: u64, seed: u64) -> Vec<Vec<Request>> {
     (0..clients)
@@ -237,7 +237,7 @@ mod tests {
         assert!(flat.iter().any(|r| matches!(r, Request::Profile(_))));
         assert!(flat.iter().any(|r| matches!(r, Request::Model(_))));
         // Concurrent first requests cover several probe variants, so
-        // batching sees a same-trace mix, not 8 copies of one probe.
+        // the daemon sees a same-trace mix, not 8 copies of one probe.
         let first_probes: std::collections::BTreeSet<&str> = a
             .iter()
             .map(|c| match &c[0] {

@@ -286,10 +286,10 @@ pub enum Request {
     Validate(ValidateRequest),
     /// Sweep the design space; answers the Pareto frontier as CSV.
     Explore(ExploreRequest),
-    /// Server and store diagnostics (cache traffic, batching, …).
+    /// Server and store diagnostics (admission and cache traffic).
     Stats,
     /// Schema-versioned telemetry snapshot: per-kind latency phase
-    /// histograms, admission/batch traffic, and the request flight
+    /// histograms, admission traffic, and the request flight
     /// recorder, as one line of JSON (`fosm top` renders it).
     Telemetry,
     /// Ask the daemon to stop accepting work and exit cleanly.

@@ -330,7 +330,6 @@ fn finish(
         kind,
         outcome,
         queue_us: phases.queue_us,
-        batch_wait_us: phases.batch_wait_us,
         exec_us: phases.exec_us,
         respond_us,
         total_us: micros(received.elapsed()),
@@ -462,7 +461,7 @@ mod tests {
             Response::Err { code, message } => panic!("telemetry failed {code}: {message}"),
         };
         let v: serde::Value = serde_json::from_str(body.trim_end()).expect("telemetry is JSON");
-        assert_eq!(num(v.get("fosm_telemetry").expect("schema tag")), 3);
+        assert_eq!(num(v.get("fosm_telemetry").expect("schema tag")), 4);
 
         // Phase histograms reconcile per request kind: the disjoint
         // sub-phases can never sum past the measured total.
@@ -470,14 +469,14 @@ mod tests {
             let count = hist_field(&v, &format!("serve.total_us.{kind}"), "count");
             assert_eq!(count, expected_count, "total_us count for {kind}");
             let queue = hist_field(&v, &format!("serve.queue_us.{kind}"), "sum");
-            let batch = hist_field(&v, &format!("serve.batch_wait_us.{kind}"), "sum");
             let exec = hist_field(&v, &format!("serve.exec_us.{kind}"), "sum");
             let total = hist_field(&v, &format!("serve.total_us.{kind}"), "sum");
             assert!(
-                queue + batch + exec <= total,
-                "{kind}: queue {queue} + batch {batch} + exec {exec} > total {total}"
+                queue + exec <= total,
+                "{kind}: queue {queue} + exec {exec} > total {total}"
             );
         }
+        assert!(!body.contains("batch"), "no batch phase or section: {body}");
 
         // The flight recorder holds both outcomes, in arrival order.
         let records = match v.get("flight").and_then(|f| f.get("records")) {
@@ -500,11 +499,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_model_request_skips_the_batch_window() {
+    fn a_repeated_model_request_is_a_cache_hit_with_the_local_bytes() {
         let service = Arc::new(Service::new(
             Arc::new(ArtifactStore::new()),
             2,
-            Duration::from_millis(200),
+            Duration::ZERO,
         ));
         let server = start(Arc::clone(&service), "127.0.0.1:0").expect("bind test server");
         let model = Request::Model(ProfileRequest {
@@ -530,9 +529,7 @@ mod tests {
             .filter(|r| r.kind == "model")
             .collect();
         assert_eq!(records.len(), 2, "{records:?}");
-        assert!(records[0].batch_wait_us >= 200_000, "{records:?}");
         assert!(!records[0].cache_hit, "{records:?}");
-        assert_eq!(records[1].batch_wait_us, 0, "{records:?}");
         assert!(records[1].cache_hit, "{records:?}");
         let local = Service::new(Arc::new(ArtifactStore::new()), 1, Duration::ZERO).execute(&model);
         assert_eq!(cold, local);

@@ -10,12 +10,18 @@
 //! The handlers themselves are thin: they translate protocol types
 //! into the existing pipeline (workload specs, probes, the memoizing
 //! artifact store, the first-order model) and render with the same
-//! format strings as `crates/cli`. Concurrency lives in two places:
+//! format strings as `crates/cli`. Concurrency lives in one place:
 //! [`Service::admit`] runs each request on its caller's thread once a
 //! FIFO permit is free, so at most `workers` requests run at once, in
-//! arrival order; and the [`Batcher`](crate::batch::Batcher) coalesces
-//! same-trace profile work. A request never fans out; `explore` sweeps
-//! its whole grid on the thread that admitted it.
+//! arrival order. No request waits on another: each computes its own
+//! profile with one `profile_many` call, which answers memory hits
+//! first. A request never fans out; `explore` sweeps its whole grid on
+//! the thread that admitted it.
+//!
+//! Every request has a budget, checked before any work: at most
+//! [`MAX_INSTS`] instructions, and for `explore` at most
+//! [`MAX_GRID_POINTS`] grid points. Past either, the answer is
+//! `bad-request`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,14 +32,22 @@ use fosm_bench::harness;
 use fosm_bench::store::ArtifactStore;
 use fosm_core::model::{Estimate, FirstOrderModel};
 use fosm_core::params::ProcessorParams;
-use fosm_core::profile::{Probe, ProgramProfile};
+use fosm_core::profile::{Probe, ProbeBank, ProgramProfile};
 use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_validate::ToleranceSpec;
 use fosm_workloads::BenchmarkSpec;
 
-use crate::batch::{BatchStats, Batcher, LEADER_PANICKED};
 use crate::proto::{ExploreRequest, ProfileRequest, Request, Response, ValidateRequest};
 use crate::telemetry::{Telemetry, TELEMETRY_SCHEMA_VERSION};
+
+/// The most instructions one `profile`, `model`, `validate` or
+/// `explore` request may ask for: 4× the benchmark's `profile-cold`
+/// trace, and above every CLI default.
+pub const MAX_INSTS: u64 = 1 << 22;
+
+/// The most grid points one `explore` request may sweep: above the
+/// benchmark's 147,456-point in-process grid.
+pub const MAX_GRID_POINTS: u64 = 1 << 18;
 
 /// FIFO admission: tickets are issued in arrival order, and ticket `t`
 /// may run once `t < released + workers`, so at most `workers` holders
@@ -99,18 +113,15 @@ impl Drop for Permit<'_> {
 pub struct Phases {
     /// Wait for a permit, µs.
     pub queue_us: u64,
-    /// Batcher wait while holding the permit, µs.
-    pub batch_wait_us: u64,
-    /// The rest of the time holding the permit, µs.
+    /// Time holding the permit, µs.
     pub exec_us: u64,
-    /// No fresh trace replay was charged to this request's thread.
+    /// Every profile the request needed was already in the store.
     pub cache_hit: bool,
 }
 
-/// The request executor: artifact store, batcher and admission permits.
+/// The request executor: artifact store and admission permits.
 pub struct Service {
     store: Arc<ArtifactStore>,
-    batcher: Arc<Batcher>,
     admission: Admission,
     telemetry: Arc<Telemetry>,
     requests: AtomicU64,
@@ -119,11 +130,11 @@ pub struct Service {
 
 impl Service {
     /// A service over `store` that runs at most `workers` requests at
-    /// once, with the given batching window.
-    pub fn new(store: Arc<ArtifactStore>, workers: usize, window: Duration) -> Service {
+    /// once. `window` is ignored: the benchmark's oracle still passes
+    /// one; delete it with the next change to the benchmark.
+    pub fn new(store: Arc<ArtifactStore>, workers: usize, _window: Duration) -> Service {
         Service {
             store,
-            batcher: Arc::new(Batcher::new(window)),
             admission: Admission::new(workers),
             telemetry: Arc::new(Telemetry::from_env()),
             requests: AtomicU64::new(0),
@@ -131,8 +142,8 @@ impl Service {
         }
     }
 
-    /// A service over a fresh store (the `fosm client --local` path):
-    /// no batching window, one permit.
+    /// A service over a fresh store (the `fosm client --local` path)
+    /// with one permit.
     /// With `FOSM_CACHE_DIR` set, the store is disk-backed, so local
     /// runs share artifacts with a daemon pointed at the same
     /// directory.
@@ -184,17 +195,11 @@ impl Service {
         let snap = registry.snapshot();
         fosm_obs::global().absorb(&snap);
         self.telemetry.absorb(&snap);
-        // The batcher charges its waits to `serve.batch_wait_ns`, which
-        // comes back out of execute time.
-        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        let batch_wait_us = counter("serve.batch_wait_ns") / 1_000;
+        let misses = snap.counters.get("store.profile.memo_misses");
         let phases = Phases {
             queue_us,
-            batch_wait_us,
-            exec_us: micros(started.elapsed()).saturating_sub(batch_wait_us),
-            // Memoized, or a batch leader computed it on this
-            // request's behalf.
-            cache_hit: counter("store.profile.memo_misses") == 0,
+            exec_us: micros(started.elapsed()),
+            cache_hit: misses.copied().unwrap_or(0) == 0,
         };
         (response, phases)
     }
@@ -226,6 +231,7 @@ impl Service {
         &self,
         p: &ProfileRequest,
     ) -> Result<(BenchmarkSpec, ProcessorParams, Probe), Response> {
+        check_insts(p.insts)?;
         let spec = find_benchmark(&p.bench).map_err(|e| Response::err("bad-request", e))?;
         let params = p
             .machine
@@ -236,17 +242,31 @@ impl Service {
         Ok((spec, params, probe))
     }
 
-    /// The profile this request describes, through the batcher.
+    /// The profile this request describes.
     fn collect(
         &self,
         p: &ProfileRequest,
     ) -> Result<(ProcessorParams, Arc<ProgramProfile>), Response> {
         let (spec, params, probe) = self.resolve(p)?;
-        let profile = self
-            .batcher
-            .profile(&self.store, &params, probe, &spec, p.insts, p.seed)
-            .map_err(batch_error)?;
+        let profile = self.profile_of(&params, probe, &spec, p.insts, p.seed)?;
         Ok((params, profile))
+    }
+
+    /// One probe's profile: from the store's memory or disk, or
+    /// computed by this request in one `profile_many` pass.
+    fn profile_of(
+        &self,
+        params: &ProcessorParams,
+        probe: Probe,
+        spec: &BenchmarkSpec,
+        insts: u64,
+        seed: u64,
+    ) -> Result<Arc<ProgramProfile>, Response> {
+        let mut profiles = self
+            .store
+            .profile_many(params, &ProbeBank::from(vec![probe]), spec, insts, seed)
+            .map_err(|e| Response::err("model-error", e.to_string()))?;
+        Ok(profiles.pop().expect("one probe yields one profile"))
     }
 
     /// `profile`: the functional profile as pretty-printed JSON (the
@@ -271,6 +291,7 @@ impl Service {
     /// `validate`: one workload's differential comparison, rendered
     /// as `fosm validate --bench <name>`'s component table.
     fn validate(&self, v: &ValidateRequest) -> Result<String, Response> {
+        check_insts(v.insts)?;
         let spec = find_benchmark(&v.bench).map_err(|e| Response::err("bad-request", e))?;
         let params = v
             .machine
@@ -301,6 +322,7 @@ impl Service {
 
     /// `explore`: a grid sweep answered as a frontier summary plus CSV.
     fn explore(&self, e: &ExploreRequest) -> Result<String, Response> {
+        check_insts(e.insts)?;
         let spec = find_benchmark(&e.bench).map_err(|err| Response::err("bad-request", err))?;
         let base = fosm_explore::MachineGrid::baseline_sweep();
         let pick = |axis: &[u32], default: Vec<u32>| {
@@ -320,16 +342,20 @@ impl Service {
         };
         grid.validate()
             .map_err(|err| Response::err("bad-request", err.to_string()))?;
+        if grid.len() > MAX_GRID_POINTS {
+            let why = format!(
+                "the explore grid has {} points, above the maximum {MAX_GRID_POINTS}",
+                grid.len()
+            );
+            return Err(Response::err("bad-request", why));
+        }
 
         let axes = fosm_explore::HardwareAxes::baseline_only();
         let variants = axes.variants();
         let variant = variants[0];
         let params = ProcessorParams::baseline();
         let probe = Probe::new(format!("{}:explore", e.bench));
-        let profile = self
-            .batcher
-            .profile(&self.store, &params, probe, &spec, e.insts, e.seed)
-            .map_err(batch_error)?;
+        let profile = self.profile_of(&params, probe, &spec, e.insts, e.seed)?;
 
         // One sweep over the whole grid, on this request's own thread.
         let model = FirstOrderModel::new(params);
@@ -357,7 +383,6 @@ impl Service {
     /// are a stable interface.
     fn stats_body(&self) -> String {
         let (executed, _) = self.admission.counts();
-        let batch: BatchStats = self.batcher.stats();
         let store = self.store.stats();
         let disk = self.store.disk().map(|d| d.stats()).unwrap_or_default();
         let mut out = String::new();
@@ -365,8 +390,6 @@ impl Service {
             ("serve.requests", self.requests.load(Ordering::Relaxed)),
             ("pool.workers", self.admission.workers),
             ("pool.executed", executed),
-            ("batch.passes", batch.passes),
-            ("batch.coalesced", batch.coalesced),
             ("store.trace_hit", store.trace_hits),
             ("store.trace_miss", store.trace_misses),
             ("store.profile_hit", store.profile_hits),
@@ -383,13 +406,12 @@ impl Service {
     }
 
     /// `telemetry`: one line of schema-versioned JSON — request and
-    /// panic totals, admission/batch traffic, per-kind phase
-    /// histograms, and the flight recorder. Unlike `stats` (a frozen byte interface), this body
+    /// panic totals, admission traffic, per-kind phase histograms, and
+    /// the flight recorder. Unlike `stats` (a frozen byte interface), this body
     /// is versioned by its `fosm_telemetry` field: it may grow fields
     /// within a version, and dropping one bumps the version.
     fn telemetry_body(&self) -> String {
         let (executed, queue_depth) = self.admission.counts();
-        let batch: BatchStats = self.batcher.stats();
         // Export the live queue depth as a gauge too: under a request
         // scope it lands in the scoped registry and is absorbed into
         // the global manifest (last write wins).
@@ -424,12 +446,6 @@ impl Service {
             out.push_str("\":");
             out.push_str(&value.to_string());
         }
-        out.push_str("},\"batch\":{\"passes\":");
-        out.push_str(&batch.passes.to_string());
-        out.push_str(",\"coalesced\":");
-        out.push_str(&batch.coalesced.to_string());
-        out.push_str(",\"memo_hits\":");
-        out.push_str(&batch.memo_hits.to_string());
         out.push_str("},");
         self.telemetry.write_json_sections(&mut out);
         out.push_str("}\n");
@@ -442,15 +458,13 @@ pub(crate) fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// A batcher failure as a response: a panicked batch leader is the
-/// daemon's fault (`internal`), anything else the model's.
-fn batch_error(message: String) -> Response {
-    let code = if message == LEADER_PANICKED {
-        "internal"
-    } else {
-        "model-error"
-    };
-    Response::err(code, message)
+/// Holds a request to the [`MAX_INSTS`] budget.
+fn check_insts(insts: u64) -> Result<(), Response> {
+    if insts > MAX_INSTS {
+        let why = format!("`insts` {insts} exceeds the maximum {MAX_INSTS}");
+        return Err(Response::err("bad-request", why));
+    }
+    Ok(())
 }
 
 /// Looks up a built-in benchmark by name (same error text as the CLI).
@@ -590,6 +604,99 @@ mod tests {
         }
     }
 
+    fn explore_req(insts: u64) -> ExploreRequest {
+        ExploreRequest {
+            bench: "gzip".into(),
+            insts,
+            seed: 7,
+            widths: vec![],
+            windows: vec![],
+            robs: vec![],
+            depths: vec![],
+            l2s: vec![],
+            mems: vec![],
+        }
+    }
+
+    fn assert_bad_request(resp: Response, needles: &[&str]) {
+        match resp {
+            Response::Err { code, message } => {
+                assert_eq!(code, "bad-request");
+                for needle in needles {
+                    assert!(message.contains(needle), "{message}");
+                }
+            }
+            Response::Ok { body } => panic!("unexpected success: {body}"),
+        }
+    }
+
+    #[test]
+    fn insts_past_the_maximum_is_a_bad_request_for_every_kind() {
+        let service = test_service();
+        let huge = ProfileRequest {
+            insts: u64::MAX,
+            ..profile_req("full")
+        };
+        let validate = ValidateRequest {
+            bench: "gzip".into(),
+            insts: u64::MAX,
+            seed: 7,
+            machine: MachineSpec::default(),
+        };
+        for req in [
+            Request::Profile(huge.clone()),
+            Request::Model(huge),
+            Request::Validate(validate),
+            Request::Explore(explore_req(u64::MAX)),
+        ] {
+            let needles = ["`insts` 18446744073709551615", "maximum 4194304"];
+            assert_bad_request(service.execute(&req), &needles);
+        }
+        assert_eq!(service.store.stats().profile_misses, 0, "nothing computed");
+    }
+
+    #[test]
+    fn explore_past_the_grid_point_maximum_is_a_bad_request() {
+        // 8^5 x 16 = 524,288 points, each axis value valid.
+        let req = ExploreRequest {
+            widths: vec![4; 8],
+            windows: vec![32; 8],
+            robs: vec![128; 8],
+            depths: vec![5; 8],
+            l2s: vec![12; 8],
+            mems: vec![200; 16],
+            ..explore_req(3_000)
+        };
+        let service = test_service();
+        let needles = ["524288 points", "maximum 262144"];
+        assert_bad_request(service.execute(&Request::Explore(req)), &needles);
+        assert_eq!(service.store.stats().profile_misses, 0, "nothing computed");
+    }
+
+    #[test]
+    fn concurrent_identical_cold_requests_each_compute_the_local_bytes() {
+        const K: usize = 4;
+        let service = test_service();
+        let req = Request::Model(profile_req("branch"));
+        let bodies: Vec<Response> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..K)
+                .map(|_| s.spawn(|| service.admit("model", || service.execute(&req)).0))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("request thread"))
+                .collect()
+        });
+        let local = Service::local().execute(&req);
+        for resp in &bodies {
+            assert_eq!(encode_response(resp), encode_response(&local));
+        }
+        // However many computed, the store keeps one profile for the key.
+        let stats = service.store.stats();
+        assert_eq!(stats.profile_inserts, 1);
+        assert_eq!(stats.profile_hits + stats.profile_misses, K as u64);
+    }
+
     #[test]
     fn explore_returns_a_frontier_csv() {
         let req = ExploreRequest {
@@ -613,26 +720,11 @@ mod tests {
     #[test]
     fn explore_past_a_machine_maximum_is_a_bad_request() {
         let req = ExploreRequest {
-            bench: "gzip".into(),
-            insts: 3_000,
-            seed: 7,
-            widths: vec![],
-            windows: vec![],
-            robs: vec![],
             depths: vec![u32::MAX],
-            l2s: vec![],
-            mems: vec![],
+            ..explore_req(3_000)
         };
-        match test_service().execute(&Request::Explore(req)) {
-            Response::Err { code, message } => {
-                assert_eq!(code, "bad-request");
-                assert!(
-                    message.contains("`depths` value 4294967295 exceeds the pipe_depth maximum"),
-                    "{message}"
-                );
-            }
-            Response::Ok { body } => panic!("unexpected success: {body}"),
-        }
+        let needle = "`depths` value 4294967295 exceeds the pipe_depth maximum";
+        assert_bad_request(test_service().execute(&Request::Explore(req)), &[needle]);
     }
 
     #[test]
@@ -679,7 +771,6 @@ mod tests {
             kind: "ping",
             outcome: "ok".into(),
             queue_us: 1,
-            batch_wait_us: 0,
             exec_us: 2,
             respond_us: 1,
             total_us: 5,
@@ -687,14 +778,14 @@ mod tests {
             cache_hit: true,
         });
         let out = body(service.execute(&Request::Telemetry));
-        assert!(out.starts_with("{\"fosm_telemetry\":3,"));
+        assert!(out.starts_with("{\"fosm_telemetry\":4,"));
         assert!(out.ends_with("}\n"));
         let v: serde::Value = serde_json::from_str(out.trim_end()).expect("valid JSON");
         assert_eq!(v.get("panics"), Some(&serde::Value::Num("0".into())));
         let pool = v.get("pool").expect("pool section");
         assert!(pool.get("queue_depth").is_some());
         assert!(pool.get("parks").is_none() && pool.get("steals").is_none());
-        assert!(v.get("batch").and_then(|b| b.get("passes")).is_some());
+        assert!(v.get("batch").is_none());
         let hists = v.get("hists").expect("hists section");
         assert!(hists.get("serve.total_us.ping").is_some());
         assert!(v.get("flight").and_then(|f| f.get("records")).is_some());
@@ -708,12 +799,13 @@ mod tests {
         for key in [
             "serve.requests ",
             "pool.workers 2",
-            "batch.passes ",
+            "store.profile_hit 0",
             "store.disk_hit 0",
             "store.disk_corrupt 0",
         ] {
             assert!(out.contains(key), "stats missing `{key}`:\n{out}");
         }
+        assert!(!out.contains("batch."), "{out}");
     }
 
     #[test]

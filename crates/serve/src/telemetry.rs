@@ -13,20 +13,15 @@
 //!
 //! * `queue_us` — the wait for a FIFO admission permit, i.e. behind
 //!   every request that arrived before it while all permits were held;
-//! * `batch_wait_us` — wall-clock the request spent parked inside the
-//!   [`Batcher`](crate::batch::Batcher) (follower waiting for its
-//!   leader's broadcast, or leader waiting out the batching window);
-//!   0 for a request whose profile was already in memory, which never
-//!   enters a batch;
-//! * `exec_us` — time holding the permit minus `batch_wait_us`: time
-//!   actually computing this request, and only this one (a permit
-//!   holder runs one request, and never runs another request's work);
+//! * `exec_us` — time holding the permit: computing this request, and
+//!   only this one (a permit holder runs one request, and never waits
+//!   on another request);
 //! * `respond_us` — writing the response frame;
 //! * `total_us` — request frame fully read → response frame written.
 //!
-//! The first three phases are disjoint sub-intervals of the total, so
-//! `queue + batch_wait + exec ≤ total` holds per record and therefore
-//! per histogram sum — the reconciliation the CI smoke test asserts.
+//! The first two phases are disjoint sub-intervals of the total, so
+//! `queue + exec ≤ total` holds per record and therefore per histogram
+//! sum — the reconciliation the CI smoke test asserts.
 //!
 //! Telemetry is on by default and costs a few `Instant` reads plus
 //! lock-free histogram records per request; `fosm serve
@@ -43,8 +38,10 @@ use fosm_obs::Registry;
 /// Version tag of the telemetry snapshot schema (the `fosm_telemetry`
 /// field of the JSON body). Version 2 dropped the pool's `steals` and
 /// `caller_runs` fields; version 3 dropped `parks` (nothing parks
-/// without worker threads) and added the top-level `panics` count.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 3;
+/// without worker threads) and added the top-level `panics` count;
+/// version 4 dropped, with the request batcher, the `batch` object,
+/// the records' batch-wait field and its phase histograms.
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 4;
 
 /// Default flight-recorder capacity (records kept).
 pub const DEFAULT_FLIGHT_CAP: usize = 256;
@@ -61,10 +58,7 @@ pub struct RequestRecord {
     pub outcome: String,
     /// Admission permit wait, µs.
     pub queue_us: u64,
-    /// Batcher wait (leader window + follower park), µs; 0 when every
-    /// profile the request needed was already in memory.
-    pub batch_wait_us: u64,
-    /// Compute time (permit held minus batch wait), µs.
+    /// Compute time (permit held), µs.
     pub exec_us: u64,
     /// Response frame write, µs.
     pub respond_us: u64,
@@ -72,9 +66,8 @@ pub struct RequestRecord {
     pub total_us: u64,
     /// Response payload size, bytes.
     pub resp_bytes: u64,
-    /// True when no fresh trace replay was charged to this request's
-    /// own thread (every profile it needed was memoized or computed
-    /// by a batch leader on its behalf).
+    /// True when every profile the request needed was already in the
+    /// store (memory or disk), so it computed none.
     pub cache_hit: bool,
 }
 
@@ -88,7 +81,6 @@ impl RequestRecord {
         push_str_literal(out, &self.outcome);
         for (key, value) in [
             ("queue_us", self.queue_us),
-            ("batch_wait_us", self.batch_wait_us),
             ("exec_us", self.exec_us),
             ("respond_us", self.respond_us),
             ("total_us", self.total_us),
@@ -261,7 +253,6 @@ impl Telemetry {
         let kind = record.kind;
         for (phase, value) in [
             ("queue_us", record.queue_us),
-            ("batch_wait_us", record.batch_wait_us),
             ("exec_us", record.exec_us),
             ("respond_us", record.respond_us),
             ("total_us", record.total_us),
@@ -273,8 +264,8 @@ impl Telemetry {
         self.flight.push(record);
     }
 
-    /// Folds a finished request's scoped snapshot in (batch occupancy
-    /// histograms, batcher wait counters, …). No-op when disabled.
+    /// Folds a finished request's scoped snapshot in (its store and
+    /// profiler counters, …). No-op when disabled.
     pub fn absorb(&self, snap: &fosm_obs::Snapshot) {
         if self.enabled() {
             self.registry.absorb(snap);
@@ -293,7 +284,7 @@ impl Telemetry {
         }
         let mut out = format!(
             "fosm-serve flight recorder ({} record(s), {} dropped) — {reason}\n\
-             {:>6}  {:<10} {:<18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}  cache\n",
+             {:>6}  {:<10} {:<18} {:>9} {:>9} {:>9} {:>9} {:>9}  cache\n",
             records.len(),
             self.flight.dropped(),
             "seq",
@@ -301,20 +292,18 @@ impl Telemetry {
             "outcome",
             "total_us",
             "queue_us",
-            "batch_us",
             "exec_us",
             "resp_us",
             "bytes",
         );
         for r in &records {
             out.push_str(&format!(
-                "{:>6}  {:<10} {:<18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}  {}\n",
+                "{:>6}  {:<10} {:<18} {:>9} {:>9} {:>9} {:>9} {:>9}  {}\n",
                 r.seq,
                 r.kind,
                 r.outcome,
                 r.total_us,
                 r.queue_us,
-                r.batch_wait_us,
                 r.exec_us,
                 r.respond_us,
                 r.resp_bytes,
@@ -326,7 +315,7 @@ impl Telemetry {
 
     /// Writes the `"hists"` and `"flight"` sections of the telemetry
     /// body (the [`Service`](crate::service::Service) wraps them with
-    /// the admission/batch summary it owns).
+    /// the admission summary it owns).
     pub fn write_json_sections(&self, out: &mut String) {
         out.push_str("\"hists\":{");
         let snap = self.registry.snapshot();
@@ -363,7 +352,6 @@ mod tests {
             kind,
             outcome: outcome.to_string(),
             queue_us: 1,
-            batch_wait_us: 2,
             exec_us: 3,
             respond_us: 4,
             total_us,

@@ -3,10 +3,10 @@
 # profile/model requests with byte-identity verification against
 # in-process execution, spot-check wire vs one-shot CLI bytes, assert
 # the telemetry snapshot (`fosm top --once --json`) is populated under
-# load and counts memory hits that skipped the batcher, check that the
-# idle daemon runs only its main and accept threads and that sequential
-# connections do not grow its address space, then shut down cleanly —
-# the daemon must join every thread and exit 0.
+# load and that the store answered repeated requests from memory, check
+# that the idle daemon runs only its main and accept threads and that
+# sequential connections do not grow its address space, then shut down
+# cleanly — the daemon must join every thread and exit 0.
 #
 # Usage: scripts/serve-smoke.sh
 #        FOSM overrides the binary path; TELEMETRY_OUT overrides where
@@ -50,7 +50,7 @@ for action in model profile; do
 done
 
 echo "--- daemon stats ---"
-"$FOSM" client stats --addr "$ADDR"
+"$FOSM" client stats --addr "$ADDR" | tee "$WORK/stats.txt"
 
 # Telemetry snapshot under load: one schema-versioned JSON body. The
 # phase histograms must be populated for the kinds loadgen sent, and
@@ -58,7 +58,7 @@ echo "--- daemon stats ---"
 SNAPSHOT="${TELEMETRY_OUT:-$PWD/telemetry-snapshot.json}"
 "$FOSM" top --addr "$ADDR" --once --json > "$WORK/telemetry.json"
 cp "$WORK/telemetry.json" "$SNAPSHOT"
-for needle in '"fosm_telemetry":3' \
+for needle in '"fosm_telemetry":4' \
               '"serve.queue_us.profile"' \
               '"serve.exec_us.model"' \
               '"serve.total_us.profile"' \
@@ -70,11 +70,11 @@ for needle in '"fosm_telemetry":3' \
     exit 1
   }
 done
-# Repeated requests (loadgen's 32 requests cycle through five gzip
-# probes) must be answered from memory without entering a batch.
-grep -qE '"memo_hits":[1-9]' "$WORK/telemetry.json" || {
-  echo "telemetry snapshot shows no memo hits" >&2
-  cat "$WORK/telemetry.json" >&2
+# Repeated requests (loadgen's 32 requests cycle through five probes
+# of two workloads) must be answered from the store's memory.
+profile_hits="$(awk '$1 == "store.profile_hit" { print $2 }' "$WORK/stats.txt")"
+[ "${profile_hits:-0}" -ge 1 ] || {
+  echo "daemon stats show no store.profile_hit" >&2
   exit 1
 }
 echo "--- fosm top (one frame) ---"
