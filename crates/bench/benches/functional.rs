@@ -12,8 +12,8 @@ use fosm_depgraph::iw;
 use fosm_explore::engine::{sweep_profile, ShardTag};
 use fosm_explore::grid::{HardwareAxes, MachineGrid};
 use fosm_isa::LatencyTable;
-use fosm_sim::{MachineConfig, SimulationSet};
-use fosm_trace::TraceSource;
+use fosm_sim::{Machine, MachineConfig, SimulationSet};
+use fosm_trace::{PackedTrace, TraceSource};
 use fosm_workloads::{BenchmarkSpec, WorkloadGenerator};
 use std::hint::black_box;
 
@@ -31,7 +31,7 @@ fn validation_bank(name: &str) -> ProbeBank {
 
 fn functional_toolchain(c: &mut Criterion) {
     let spec = BenchmarkSpec::gzip();
-    let trace = harness::record(&spec, TRACE_LEN);
+    let trace = PackedTrace::record(&mut WorkloadGenerator::new(&spec, harness::SEED), TRACE_LEN);
     let insts = trace.decode();
     let params = harness::params_of(&MachineConfig::baseline());
 
@@ -117,12 +117,12 @@ fn functional_toolchain(c: &mut Criterion) {
     // variant collects every miss event and bounds the enabled cost.
     group.bench_function("detailed-sim-tracer-off", |b| {
         let config = MachineConfig::baseline();
-        b.iter(|| black_box(harness::simulate(&config, &trace)))
+        b.iter(|| black_box(Machine::new(config.clone()).run(&mut trace.replay())))
     });
 
     group.bench_function("detailed-sim-traced", |b| {
         let config = MachineConfig::baseline();
-        b.iter(|| black_box(harness::simulate_traced(&config, &trace)))
+        b.iter(|| black_box(Machine::new(config.clone()).run_traced(&mut trace.replay())))
     });
 
     group.bench_function("full-profile-collection", |b| {

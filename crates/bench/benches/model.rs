@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_core::model::FirstOrderModel;
 use fosm_core::transient::{ramp_up, win_drain};
 use fosm_depgraph::{IwCharacteristic, PowerLaw};
@@ -16,8 +17,13 @@ use std::hint::black_box;
 
 fn model_evaluation(c: &mut Criterion) {
     let params = harness::params_of(&MachineConfig::baseline());
-    let trace = harness::record(&BenchmarkSpec::gzip(), 50_000);
-    let profile = harness::profile(&params, "gzip", &trace);
+    let profile = ArtifactStore::new().profile(
+        &params,
+        "gzip",
+        &BenchmarkSpec::gzip(),
+        50_000,
+        harness::SEED,
+    );
     let iw = IwCharacteristic::new(PowerLaw::square_root(), 1.0).unwrap();
 
     let mut group = c.benchmark_group("model");

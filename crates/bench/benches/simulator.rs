@@ -8,11 +8,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fosm_bench::harness;
-use fosm_sim::MachineConfig;
-use fosm_workloads::BenchmarkSpec;
+use fosm_sim::{Machine, MachineConfig, SimReport};
+use fosm_trace::PackedTrace;
+use fosm_workloads::{BenchmarkSpec, WorkloadGenerator};
 use std::hint::black_box;
 
 const TRACE_LEN: u64 = 50_000;
+
+fn record(spec: &BenchmarkSpec) -> PackedTrace {
+    PackedTrace::record(&mut WorkloadGenerator::new(spec, harness::SEED), TRACE_LEN)
+}
+
+fn simulate(config: &MachineConfig, trace: &PackedTrace) -> SimReport {
+    Machine::new(config.clone()).run(&mut trace.replay())
+}
 
 fn simulator_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator");
@@ -22,23 +31,23 @@ fn simulator_throughput(c: &mut Criterion) {
         BenchmarkSpec::mcf(),
         BenchmarkSpec::gcc(),
     ] {
-        let trace = harness::record(&spec, TRACE_LEN);
+        let trace = record(&spec);
         group.bench_with_input(
             BenchmarkId::new("baseline", &spec.name),
             &trace,
-            |b, trace| b.iter(|| black_box(harness::simulate(&MachineConfig::baseline(), trace))),
+            |b, trace| b.iter(|| black_box(simulate(&MachineConfig::baseline(), trace))),
         );
     }
-    let trace = harness::record(&BenchmarkSpec::gzip(), TRACE_LEN);
+    let trace = record(&BenchmarkSpec::gzip());
     group.bench_function("ideal-machine", |b| {
-        b.iter(|| black_box(harness::simulate(&MachineConfig::ideal(), &trace)))
+        b.iter(|| black_box(simulate(&MachineConfig::ideal(), &trace)))
     });
     let mut wide = MachineConfig::baseline();
     wide.width = 8;
     wide.win_size = 96;
     wide.rob_size = 256;
     group.bench_function("8-wide-machine", |b| {
-        b.iter(|| black_box(harness::simulate(&wide, &trace)))
+        b.iter(|| black_box(simulate(&wide, &trace)))
     });
     group.finish();
 }

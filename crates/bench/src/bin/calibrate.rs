@@ -13,7 +13,7 @@ use fosm_cache::{AccessKind, AccessOutcome, Hierarchy, LongMissRecorder};
 use fosm_depgraph::{iw, powerlaw};
 use fosm_isa::LatencyTable;
 use fosm_sim::MachineConfig;
-use fosm_trace::{SliceTrace, TraceStats};
+use fosm_trace::TraceStats;
 use fosm_workloads::{BenchmarkSpec, WorkloadGenerator};
 
 /// Calibration reads fewer instructions than the figures by default.
@@ -67,7 +67,7 @@ fn calibrate_row(
     let law = powerlaw::fit(&pts).map_err(|e| format!("IW fit failed: {e}"))?;
 
     // Mix -> L (plus short-miss adjustment computed below).
-    let stats = TraceStats::from_source(&mut SliceTrace::new(&insts), usize::MAX);
+    let stats = TraceStats::from_source(&mut trace.replay(), usize::MAX);
     let l_fu = stats.average_latency(&config.latencies);
 
     // Caches + predictor, built from the evaluation config.

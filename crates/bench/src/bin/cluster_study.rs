@@ -4,8 +4,9 @@
 //! model's first-order latency adjustment.
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_core::model::FirstOrderModel;
-use fosm_sim::{ClusterConfig, Machine, MachineConfig, Steering};
+use fosm_sim::{ClusterConfig, MachineConfig, Steering};
 use fosm_workloads::BenchmarkSpec;
 
 fn main() {
@@ -13,6 +14,7 @@ fn main() {
     let _obs = harness::obs_session("cluster_study", &args);
     let n = args.trace_len;
     let params = harness::params_of(&MachineConfig::baseline());
+    let store = ArtifactStore::global();
 
     println!("Cluster study: partitioned issue windows ({n} insts)");
     println!(
@@ -24,9 +26,11 @@ fn main() {
         BenchmarkSpec::gzip(),
         BenchmarkSpec::vortex(),
     ] {
-        let trace = harness::record(&spec, n);
-        let profile = harness::profile(&params, &spec.name, &trace);
-        let mono = harness::simulate(&MachineConfig::baseline(), &trace);
+        // Held while the profile and the simulations replay it.
+        let _trace = store.trace(&spec, n, harness::SEED);
+        let simulate = |config: &MachineConfig| store.simulate(config, &spec, n, harness::SEED);
+        let profile = store.profile(&params, &spec.name, &spec, n, harness::SEED);
+        let mono = simulate(&MachineConfig::baseline());
         let mono_est = harness::estimate(&params, &profile);
         println!(
             "{:<8} {:<14} {:>9} {:>9.3} {:>9.3} {:>6.1}%",
@@ -44,8 +48,7 @@ fn main() {
                     forward_delay: delay,
                     steering,
                 };
-                let sim = Machine::new(MachineConfig::baseline().with_clusters(cfg))
-                    .run(&mut trace.replay());
+                let sim = simulate(&MachineConfig::baseline().with_clusters(cfg));
                 // First-order crossing fractions: round-robin crosses
                 // (k-1)/k of edges; dependence steering empirically
                 // crosses about a third of that.

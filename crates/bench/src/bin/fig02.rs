@@ -10,6 +10,7 @@
 //! diagnostic beyond the paper's figure).
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_workloads::BenchmarkSpec;
 
@@ -19,6 +20,7 @@ fn main() {
     let n = args.trace_len;
     let config = MachineConfig::baseline();
     let params = harness::params_of(&config);
+    let store = ArtifactStore::global();
 
     println!("Figure 2: independence of miss-events (baseline machine, {n} insts/benchmark)");
     println!(
@@ -33,11 +35,13 @@ fn main() {
     }
     let mut pairs = Vec::new();
     for spec in BenchmarkSpec::all() {
-        let trace = harness::record(&spec, n);
+        // Held while the five simulations (and -v's profile) replay it.
+        let _trace = store.trace(&spec, n, harness::SEED);
+        let simulate = |config: &MachineConfig| store.simulate(config, &spec, n, harness::SEED);
 
-        let ideal = harness::simulate(&MachineConfig::ideal(), &trace);
-        let real = harness::simulate(&config, &trace);
-        let only = |set| harness::simulate(&config.simulation_set(set), &trace);
+        let ideal = simulate(&MachineConfig::ideal());
+        let real = simulate(&config);
+        let only = |set| simulate(&config.simulation_set(set));
         let only_bp = only(SimulationSet::Branch);
         let only_ic = only(SimulationSet::ICache);
         let only_dc = only(SimulationSet::DCache);
@@ -58,7 +62,7 @@ fn main() {
 
         if args.verbose {
             let inst = real.instructions as f64;
-            let profile = harness::profile(&params, &spec.name, &trace);
+            let profile = store.profile(&params, &spec.name, &spec, n, harness::SEED);
             let est = harness::estimate(&params, &profile);
             println!(
                 "{:>30}   sim: {:.3} | {:.3} | {:.3} | {:.3}",

@@ -3,6 +3,7 @@
 //! with the fit quality (R²).
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_depgraph::iw::{self, DEFAULT_WINDOW_SIZES};
 use fosm_depgraph::powerlaw;
 use fosm_isa::LatencyTable;
@@ -14,7 +15,7 @@ fn main() {
     let n = args.trace_len;
     println!("Figure 5: linear (log-log) IW curve fit, illustrative benchmarks ({n} insts)");
     for spec in BenchmarkSpec::illustrative() {
-        let trace = harness::record(&spec, n);
+        let trace = ArtifactStore::global().trace(&spec, n, harness::SEED);
         let insts = trace.decode();
         let points = iw::characteristic(&insts, &DEFAULT_WINDOW_SIZES, &LatencyTable::unit());
         let law = powerlaw::fit(&points).expect("IW curves are power-law-like");

@@ -5,6 +5,7 @@
 //! approximation min(α·W^β / L, width).
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_sim::MachineConfig;
 use fosm_workloads::BenchmarkSpec;
 
@@ -13,9 +14,11 @@ fn main() {
     let _obs = harness::obs_session("fig06", &args);
     let n = args.trace_len.min(100_000);
     let spec = BenchmarkSpec::gcc();
-    let trace = harness::record(&spec, n);
+    let store = ArtifactStore::global();
+    // Held while the simulations and the profile replay it.
+    let _trace = store.trace(&spec, n, harness::SEED);
     let params = harness::params_of(&MachineConfig::baseline());
-    let profile = harness::profile(&params, &spec.name, &trace);
+    let profile = store.profile(&params, &spec.name, &spec, n, harness::SEED);
 
     let windows = [2u32, 4, 8, 16, 32, 64, 128];
     let widths = [2u32, 4, 8, 32]; // 32 ≈ unlimited for these windows
@@ -37,7 +40,7 @@ fn main() {
             let mut cfg = MachineConfig::ideal().with_width(width);
             cfg.win_size = win;
             cfg.rob_size = (4 * win).max(128);
-            let report = harness::simulate(&cfg, &trace);
+            let report = store.simulate(&cfg, &spec, n, harness::SEED);
             print!(" {:>6.2}", report.ipc());
         }
         println!();

@@ -25,27 +25,17 @@ fn main() {
     let params9 = params5.clone().with_pipe_depth(9);
     let store = ArtifactStore::global();
     let rows = par::par_map_benchmarks(&BenchmarkSpec::all(), |spec| {
+        // Held while the four simulations and the profile replay it.
+        let _trace = store.trace(spec, n, harness::SEED);
+        let simulate = |config: &MachineConfig| store.simulate(config, spec, n, harness::SEED);
         let mut sim_penalty = [0.0f64; 2];
         for (slot, depth) in [5u32, 9].into_iter().enumerate() {
-            let real = store.simulate(
-                &MachineConfig::baseline()
-                    .simulation_set(SimulationSet::Branch)
-                    .with_pipe_depth(depth),
-                spec,
-                n,
-                harness::SEED,
-            );
-            let ideal = store.simulate(
-                &MachineConfig::ideal().with_pipe_depth(depth),
-                spec,
-                n,
-                harness::SEED,
-            );
+            let branch_only = MachineConfig::baseline().simulation_set(SimulationSet::Branch);
+            let real = simulate(&branch_only.with_pipe_depth(depth));
+            let ideal = simulate(&MachineConfig::ideal().with_pipe_depth(depth));
             sim_penalty[slot] =
                 (real.cycles - ideal.cycles) as f64 / real.mispredicts.max(1) as f64;
         }
-        // After the simulations, so the profile replays the trace they
-        // recorded instead of generating it a second time.
         let profile = store.profile(&params5, &spec.name, spec, n, harness::SEED);
         (spec.name.clone(), sim_penalty, profile)
     });

@@ -8,6 +8,7 @@
 //! misses").
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_sim::{MachineConfig, SimulationSet};
 use fosm_workloads::BenchmarkSpec;
 
@@ -15,23 +16,25 @@ fn main() {
     let args = harness::run_args();
     let _obs = harness::obs_session("fig11", &args);
     let n = args.trace_len;
+    let store = ArtifactStore::global();
     println!("Figure 11: I-cache miss penalty vs front-end depth ({n} insts, ∆I = 8)");
     println!(
         "{:<8} {:>9} {:>12} {:>12}",
         "bench", "misses", "penalty @5", "penalty @9"
     );
     for spec in BenchmarkSpec::all() {
-        let trace = harness::record(&spec, n);
+        // Held while the four simulations replay it.
+        let _trace = store.trace(&spec, n, harness::SEED);
+        let simulate = |config: &MachineConfig| store.simulate(config, &spec, n, harness::SEED);
         let mut penalties = [0.0f64; 2];
         let mut short_misses = 0u64;
         for (slot, depth) in [5u32, 9].into_iter().enumerate() {
-            let real = harness::simulate(
+            let real = simulate(
                 &MachineConfig::baseline()
                     .simulation_set(SimulationSet::ICache)
                     .with_pipe_depth(depth),
-                &trace,
             );
-            let ideal = harness::simulate(&MachineConfig::ideal().with_pipe_depth(depth), &trace);
+            let ideal = simulate(&MachineConfig::ideal().with_pipe_depth(depth));
             // Short misses only: long (L2) instruction misses pay the
             // memory latency and would skew the per-miss average.
             let weighted = (real.cycles as i64 - ideal.cycles as i64) as f64

@@ -20,6 +20,8 @@ fn main() {
         "bench", "misses", "sim", "model", "eq8-paper", "ovlp"
     );
     let rows = par::par_map_benchmarks(&BenchmarkSpec::all(), |spec| {
+        // Held while the two simulations and the profile replay it.
+        let _trace = store.trace(spec, n, harness::SEED);
         let only_dcache = MachineConfig::baseline().simulation_set(SimulationSet::DCache);
         let real = store.simulate(&only_dcache, spec, n, harness::SEED);
         let ideal = store.simulate(&MachineConfig::ideal(), spec, n, harness::SEED);

@@ -3,7 +3,7 @@
 //! branch misprediction adders, as estimated by the first-order model.
 
 use fosm_bench::store::ArtifactStore;
-use fosm_bench::{harness, par, plot};
+use fosm_bench::{harness, par};
 use fosm_sim::MachineConfig;
 use fosm_workloads::BenchmarkSpec;
 
@@ -50,7 +50,6 @@ fn main() {
             "B".repeat(seg(est.branch_cpi)),
         );
     }
-    let _ = plot::bar(1.0, 1.0, 1); // keep the plot helpers exercised
     println!("\n(expected shape: mcf/twolf dominated by L2-D; gzip/bzip by branch;");
     println!(" gcc/vortex/perl/crafty with the largest I-cache components)");
 }

@@ -4,9 +4,10 @@
 //! detailed simulator's per-class issue limits.
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_core::model::FirstOrderModel;
 use fosm_isa::FuPool;
-use fosm_sim::{Machine, MachineConfig};
+use fosm_sim::MachineConfig;
 use fosm_workloads::BenchmarkSpec;
 
 fn main() {
@@ -14,6 +15,7 @@ fn main() {
     let _obs = harness::obs_session("fu_study", &args);
     let n = args.trace_len;
     let params = harness::params_of(&MachineConfig::baseline());
+    let store = ArtifactStore::global();
     let pools: [(&str, FuPool); 3] = [
         ("alpha-like", FuPool::alpha_like()),
         (
@@ -42,11 +44,12 @@ fn main() {
         BenchmarkSpec::mcf(),
         BenchmarkSpec::gzip(),
     ] {
-        let trace = harness::record(&spec, n);
-        let profile = harness::profile(&params, &spec.name, &trace);
+        // Held while the profile and the simulations replay it.
+        let _trace = store.trace(&spec, n, harness::SEED);
+        let profile = store.profile(&params, &spec.name, &spec, n, harness::SEED);
         for (label, pool) in &pools {
-            let sim = Machine::new(MachineConfig::baseline().with_fu_limits(*pool))
-                .run(&mut trace.replay());
+            let config = MachineConfig::baseline().with_fu_limits(*pool);
+            let sim = store.simulate(&config, &spec, n, harness::SEED);
             let est = FirstOrderModel::new(params.clone())
                 .with_fu_limits(*pool)
                 .evaluate(&profile)

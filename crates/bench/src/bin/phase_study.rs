@@ -46,11 +46,11 @@ fn main() {
         let sim = Machine::new(config.clone()).run(&mut trace.replay());
 
         // Whole-trace: one profile of the mixed stream.
-        let whole = harness::estimate(
-            &params,
-            &harness::profile(&params, &format!("{}+{}", a.name, b.name), &trace),
-        )
-        .total_cpi();
+        let mixed = ProfileCollector::new(&params)
+            .with_name(format!("{}+{}", a.name, b.name))
+            .collect(&mut trace.replay(), u64::MAX)
+            .expect("profile");
+        let whole = harness::estimate(&params, &mixed).total_cpi();
 
         // Per-phase: split the recorded trace at phase boundaries and
         // profile each phase's instructions separately.

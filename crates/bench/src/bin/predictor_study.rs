@@ -5,6 +5,7 @@
 //! re-simulation needed.
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_branch::PredictorConfig;
 use fosm_core::profile::{Probe, ProbeBank};
 use fosm_sim::MachineConfig;
@@ -15,6 +16,7 @@ fn main() {
     let _obs = harness::obs_session("predictor_study", &args);
     let n = args.trace_len;
     let params = harness::params_of(&MachineConfig::baseline());
+    let store = ArtifactStore::global();
     let predictors = [
         ("bimodal-13", PredictorConfig::Bimodal { bits: 13 }),
         ("gshare-13", PredictorConfig::Gshare { bits: 13 }),
@@ -42,7 +44,6 @@ fn main() {
     }
     println!();
     for spec in BenchmarkSpec::all() {
-        let trace = harness::record(&spec, n);
         print!("{:<8}", spec.name);
         // All five predictors ride one fused replay: the caches, mix,
         // and IW analysis are shared, only the predictors differ.
@@ -50,7 +51,9 @@ fn main() {
             .iter()
             .map(|(_, cfg)| Probe::new(spec.name.clone()).with_predictor(*cfg))
             .collect();
-        let profiles = harness::profile_many(&params, &bank, &trace).expect("profiles");
+        let profiles = store
+            .profile_many(&params, &bank, &spec, n, harness::SEED)
+            .expect("profiles");
         for profile in &profiles {
             let est = harness::estimate(&params, profile);
             print!(

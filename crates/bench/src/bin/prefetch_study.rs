@@ -8,9 +8,10 @@
 //! pointer-chasing ones barely at all.
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_cache::HierarchyConfig;
 use fosm_core::profile::{Probe, ProbeBank};
-use fosm_sim::{Machine, MachineConfig};
+use fosm_sim::MachineConfig;
 use fosm_workloads::BenchmarkSpec;
 
 fn main() {
@@ -18,6 +19,7 @@ fn main() {
     let _obs = harness::obs_session("prefetch_study", &args);
     let n = args.trace_len;
     let params = harness::params_of(&MachineConfig::baseline());
+    let store = ArtifactStore::global();
     println!("Prefetch study: next-line data prefetching ({n} insts)");
     println!(
         "{:<8} {:>9} {:>10} {:>10} {:>10} {:>8}",
@@ -29,7 +31,8 @@ fn main() {
         BenchmarkSpec::mcf(),
         BenchmarkSpec::twolf(),
     ] {
-        let trace = harness::record(&spec, n);
+        // Held while the profiles and the simulations replay it.
+        let _trace = store.trace(&spec, n, harness::SEED);
         let depths = [0u32, 1, 2];
         // One fused replay profiles every prefetch depth at once.
         let bank: ProbeBank = depths
@@ -39,14 +42,16 @@ fn main() {
                     .with_hierarchy(HierarchyConfig::baseline().with_next_line_prefetch(lines))
             })
             .collect();
-        let profiles = harness::profile_many(&params, &bank, &trace).expect("profiles");
+        let profiles = store
+            .profile_many(&params, &bank, &spec, n, harness::SEED)
+            .expect("profiles");
         for (lines, profile) in depths.into_iter().zip(&profiles) {
             let hierarchy = HierarchyConfig::baseline().with_next_line_prefetch(lines);
             let cfg = MachineConfig {
                 hierarchy,
                 ..MachineConfig::baseline()
             };
-            let sim = Machine::new(cfg).run(&mut trace.replay());
+            let sim = store.simulate(&cfg, &spec, n, harness::SEED);
             let est = harness::estimate(&params, profile);
             println!(
                 "{:<8} {:>9} {:>10.2} {:>10.3} {:>10.3} {:>7.1}%",

@@ -6,6 +6,7 @@
 //! amortize.)
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_core::profile::{ProfileCollector, SamplingPlan};
 use fosm_sim::MachineConfig;
 use fosm_trace::Sampler;
@@ -17,6 +18,7 @@ fn main() {
     let n = args.trace_len;
     let config = MachineConfig::baseline();
     let params = harness::params_of(&config);
+    let store = ArtifactStore::global();
 
     let budget = n / 10; // profile only 10% of the instructions
     println!("Sampling study: model CPI from 10%-budget profiles ({n} insts full)");
@@ -26,19 +28,17 @@ fn main() {
     );
     let mut errs = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
     for spec in BenchmarkSpec::all() {
-        let trace = harness::record(&spec, n);
-        let sim = harness::simulate(&config, &trace);
-        let full = harness::estimate(&params, &harness::profile(&params, &spec.name, &trace));
+        // Held while the full-run simulation and profile replay it.
+        let _trace = store.trace(&spec, n, harness::SEED);
+        let sim = store.simulate(&config, &spec, n, harness::SEED);
+        let full = harness::estimate(
+            &params,
+            &store.profile(&params, &spec.name, &spec, n, harness::SEED),
+        );
 
         // Contiguous prefix of the same budget.
-        let contiguous = {
-            let mut generator = WorkloadGenerator::new(&spec, harness::SEED);
-            let profile = ProfileCollector::new(&params)
-                .with_name(&spec.name)
-                .collect(&mut generator, budget)
-                .expect("profile");
-            harness::estimate(&params, &profile).total_cpi()
-        };
+        let prefix = store.profile(&params, &spec.name, &spec, budget, harness::SEED);
+        let contiguous = harness::estimate(&params, &prefix).total_cpi();
         // Systematic samples spanning the whole run (10k of every 100k).
         let sampled = {
             let generator = WorkloadGenerator::new(&spec, harness::SEED);

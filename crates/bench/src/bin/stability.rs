@@ -3,6 +3,7 @@
 //! several dynamic seeds per benchmark and reports the spread.
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_sim::MachineConfig;
 use fosm_workloads::BenchmarkSpec;
 
@@ -13,6 +14,7 @@ fn main() {
     let seeds = [42u64, 1, 7, 1234];
     let config = MachineConfig::baseline();
     let params = harness::params_of(&config);
+    let store = ArtifactStore::global();
 
     println!(
         "Stability: model error across {} seeds ({n} insts/benchmark)",
@@ -26,9 +28,10 @@ fn main() {
     for spec in BenchmarkSpec::all() {
         let mut errs = Vec::new();
         for &seed in &seeds {
-            let trace = harness::record_seeded(&spec, n, seed);
-            let sim = harness::simulate(&config, &trace);
-            let profile = harness::profile(&params, &spec.name, &trace);
+            // Held while the simulation and the profile replay it.
+            let _trace = store.trace(&spec, n, seed);
+            let sim = store.simulate(&config, &spec, n, seed);
+            let profile = store.profile(&params, &spec.name, &spec, n, seed);
             let est = harness::estimate(&params, &profile);
             errs.push(100.0 * (est.total_cpi() - sim.cpi()) / sim.cpi());
         }

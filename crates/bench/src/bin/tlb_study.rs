@@ -4,10 +4,11 @@
 //! simulation.
 
 use fosm_bench::harness;
+use fosm_bench::store::ArtifactStore;
 use fosm_cache::TlbConfig;
 use fosm_core::model::FirstOrderModel;
 use fosm_core::profile::{Probe, ProbeBank};
-use fosm_sim::{Machine, MachineConfig};
+use fosm_sim::MachineConfig;
 use fosm_workloads::BenchmarkSpec;
 
 fn main() {
@@ -15,6 +16,7 @@ fn main() {
     let _obs = harness::obs_session("tlb_study", &args);
     let n = args.trace_len;
     let params = harness::params_of(&MachineConfig::baseline());
+    let store = ArtifactStore::global();
     println!("TLB study: CPI with a data TLB, model vs simulation ({n} insts)");
     println!(
         "{:<8} {:>8} {:>9} {:>9} {:>9} {:>7}",
@@ -25,7 +27,8 @@ fn main() {
         BenchmarkSpec::twolf(),
         BenchmarkSpec::parser(),
     ] {
-        let trace = harness::record(&spec, n);
+        // Held while the profiles and the simulations replay it.
+        let _trace = store.trace(&spec, n, harness::SEED);
         let sizes = [16u32, 64, 256];
         let tlbs = sizes.map(|entries| TlbConfig {
             entries,
@@ -37,10 +40,12 @@ fn main() {
             .iter()
             .map(|&tlb| Probe::new(spec.name.clone()).with_dtlb(tlb))
             .collect();
-        let profiles = harness::profile_many(&params, &bank, &trace).expect("profiles");
+        let profiles = store
+            .profile_many(&params, &bank, &spec, n, harness::SEED)
+            .expect("profiles");
         for ((entries, tlb), profile) in sizes.into_iter().zip(tlbs).zip(&profiles) {
-            let sim =
-                Machine::new(MachineConfig::baseline().with_dtlb(tlb)).run(&mut trace.replay());
+            let config = MachineConfig::baseline().with_dtlb(tlb);
+            let sim = store.simulate(&config, &spec, n, harness::SEED);
             let est = FirstOrderModel::new(params.clone())
                 .evaluate(profile)
                 .expect("estimate");

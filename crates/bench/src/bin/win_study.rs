@@ -35,8 +35,12 @@ fn main() {
         BenchmarkSpec::vpr(),
     ];
     // One job per (benchmark, structural point): 24 simulations fan
-    // out across cores; each benchmark's trace and profile is recorded
-    // once in the store and shared by its eight configurations.
+    // out across cores. Each benchmark's trace is held here for the
+    // sweep, so its eight simulations and its one profile replay it.
+    let _traces: Vec<_> = specs
+        .iter()
+        .map(|spec| store.trace(spec, n, harness::SEED))
+        .collect();
     let jobs: Vec<(BenchmarkSpec, u32, u32)> = specs
         .iter()
         .flat_map(|spec| POINTS.iter().map(move |&(w, win)| (spec.clone(), w, win)))

@@ -1,14 +1,9 @@
 //! Shared plumbing for the figure-regeneration binaries.
 
-use fosm_branch::PredictorConfig;
-use fosm_cache::HierarchyConfig;
 use fosm_core::model::{Estimate, FirstOrderModel};
 use fosm_core::params::ProcessorParams;
-use fosm_core::profile::{Probe, ProbeBank, ProfileCollector, ProgramProfile};
-use fosm_core::ModelError;
-use fosm_sim::{Machine, MachineConfig, SimReport};
-use fosm_trace::PackedTrace;
-use fosm_workloads::{BenchmarkSpec, WorkloadGenerator};
+use fosm_core::profile::{Probe, ProgramProfile};
+use fosm_sim::MachineConfig;
 
 /// Default dynamic trace length per benchmark. Override with the first
 /// CLI argument of any figure binary.
@@ -134,12 +129,6 @@ fn threads_from_env(raw: String) -> Option<usize> {
     }
 }
 
-/// Reads the trace length from the CLI, defaulting to
-/// [`DEFAULT_TRACE_LEN`]. Shorthand for `run_args().trace_len`.
-pub fn trace_len_from_args() -> u64 {
-    run_args().trace_len
-}
-
 /// Opens the observability session for a figure binary: selects the
 /// sink (a `--metrics <path>` flag beats `FOSM_METRICS`), stamps the
 /// run configuration into the manifest metadata, and — when dropped at
@@ -171,17 +160,7 @@ pub struct ObsSession {
 
 impl Drop for ObsSession {
     fn drop(&mut self) {
-        let tracer = fosm_obs::tracer();
-        if tracer.enabled() {
-            if let Some(path) = tracer.path() {
-                if let Err(e) = tracer.flush_to_path(&path) {
-                    eprintln!(
-                        "warning: cannot write miss-event trace {}: {e}",
-                        path.display()
-                    );
-                }
-            }
-        }
+        fosm_obs::flush_trace();
         let registry = fosm_obs::global();
         crate::store::ArtifactStore::global()
             .stats()
@@ -189,113 +168,6 @@ impl Drop for ObsSession {
         registry.gauge_set("wall_s", self.start.elapsed().as_secs_f64());
         fosm_obs::emit(self.binary);
     }
-}
-
-/// Records `n` instructions of the benchmark's dynamic stream into the
-/// packed SoA layout (see [`PackedTrace`]).
-pub fn record(spec: &BenchmarkSpec, n: u64) -> PackedTrace {
-    record_seeded(spec, n, SEED)
-}
-
-/// Records `n` instructions with an explicit dynamic seed.
-pub fn record_seeded(spec: &BenchmarkSpec, n: u64, seed: u64) -> PackedTrace {
-    let _span = fosm_obs::span("record");
-    let mut generator = WorkloadGenerator::new(spec, seed);
-    PackedTrace::record(&mut generator, n)
-}
-
-/// Runs the detailed simulator over (a fresh replay of) `trace`.
-pub fn simulate(config: &MachineConfig, trace: &PackedTrace) -> SimReport {
-    simulate_from(config, &mut trace.replay())
-}
-
-/// Like [`simulate`], over any replay source — used by the corpus
-/// paths to simulate straight off a paged file cursor.
-pub fn simulate_from<S: fosm_trace::TraceSource>(
-    config: &MachineConfig,
-    source: &mut S,
-) -> SimReport {
-    let _span = fosm_obs::span("simulate");
-    Machine::new(config.clone()).run(source)
-}
-
-/// Runs the detailed simulator collecting its miss-event stream (the
-/// report is identical to [`simulate`]'s).
-pub fn simulate_traced(
-    config: &MachineConfig,
-    trace: &PackedTrace,
-) -> (SimReport, Vec<fosm_sim::TraceEvent>) {
-    let _span = fosm_obs::span("simulate");
-    Machine::new(config.clone()).run_traced(&mut trace.replay())
-}
-
-/// Collects the functional-level profile the model consumes, under the
-/// paper's baseline cache hierarchy and predictor.
-pub fn profile(params: &ProcessorParams, name: &str, trace: &PackedTrace) -> ProgramProfile {
-    profile_with(
-        params,
-        &HierarchyConfig::baseline(),
-        PredictorConfig::baseline(),
-        name,
-        trace,
-    )
-    .expect("baseline profile collection on a recorded trace succeeds")
-}
-
-/// Collects a profile under an explicit cache hierarchy and branch
-/// predictor — the differential-validation harness profiles each
-/// machine variant (ideal, branch-only, …) on identical inputs.
-///
-/// # Errors
-///
-/// Propagates [`ModelError`] from collection: arbitrary (e.g. fuzzed)
-/// configurations can legitimately fail — an invalid hierarchy, or a
-/// trace too degenerate to fit an IW characteristic.
-pub fn profile_with(
-    params: &ProcessorParams,
-    hierarchy: &HierarchyConfig,
-    predictor: PredictorConfig,
-    name: &str,
-    trace: &PackedTrace,
-) -> Result<ProgramProfile, ModelError> {
-    let _span = fosm_obs::span("profile");
-    ProfileCollector::new(params)
-        .with_hierarchy(*hierarchy)
-        .with_predictor(predictor)
-        .with_name(name)
-        .collect(&mut trace.replay(), u64::MAX)
-}
-
-/// Collects one profile per probe in `bank` from a **single** fused
-/// replay of `trace` (see [`ProfileCollector::collect_many`]): the
-/// stream, mix, and IW analysis are shared; results are bit-identical
-/// to per-probe [`profile_with`] calls at roughly `1/N` the cost.
-///
-/// # Errors
-///
-/// As [`profile_with`].
-pub fn profile_many(
-    params: &ProcessorParams,
-    bank: &ProbeBank,
-    trace: &PackedTrace,
-) -> Result<Vec<ProgramProfile>, ModelError> {
-    profile_many_from(params, bank, &mut trace.replay())
-}
-
-/// Like [`profile_many`], over any bounded source — the corpus paths
-/// feed a paged [`fosm_trace::FileReplay`] here, and a cold workload
-/// profile its generator, instead of an in-memory trace.
-///
-/// # Errors
-///
-/// As [`profile_with`].
-pub fn profile_many_from<S: fosm_trace::TraceSource>(
-    params: &ProcessorParams,
-    bank: &ProbeBank,
-    source: &mut S,
-) -> Result<Vec<ProgramProfile>, ModelError> {
-    let _span = fosm_obs::span("profile");
-    ProfileCollector::new(params).collect_many(source, bank, u64::MAX)
 }
 
 /// Evaluates the first-order model on a profile.
@@ -361,21 +233,6 @@ pub fn mean_abs_error_pct(pairs: &[(f64, f64)]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_produces_requested_length() {
-        let t = record(&BenchmarkSpec::gzip(), 5_000);
-        assert_eq!(t.len(), 5_000);
-    }
-
-    #[test]
-    fn simulate_replays_without_consuming() {
-        let t = record(&BenchmarkSpec::gzip(), 5_000);
-        let a = simulate(&MachineConfig::ideal(), &t);
-        let b = simulate(&MachineConfig::ideal(), &t);
-        assert_eq!(a, b);
-        assert_eq!(a.instructions, 5_000);
-    }
 
     #[test]
     fn params_of_round_trips_structural_fields() {

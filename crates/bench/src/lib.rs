@@ -2,8 +2,9 @@
 //!
 //! Each `fig*`/`table*` binary in `src/bin/` regenerates one table or
 //! figure of Karkhanis & Smith (ISCA 2004); this library holds the
-//! shared plumbing (trace recording, simulation runs, model runs,
-//! text plotting).
+//! shared plumbing (argument parsing, the artifact store through
+//! which every trace, simulation and profile is made, parallel
+//! fan-out, text plotting).
 
 pub mod disk;
 pub mod harness;

@@ -91,12 +91,14 @@ where
 /// This is the standard top loop of a figure binary:
 ///
 /// ```no_run
+/// use fosm_bench::store::ArtifactStore;
 /// use fosm_bench::{harness, par};
+/// use fosm_sim::MachineConfig;
 ///
 /// let n = harness::run_args().trace_len;
-/// let rows = par::par_map_benchmarks(&fosm_workloads::BenchmarkSpec::all(), |spec| {
-///     let trace = harness::record(spec, n);
-///     trace.len()
+/// let store = ArtifactStore::global();
+/// let cpis = par::par_map_benchmarks(&fosm_workloads::BenchmarkSpec::all(), |spec| {
+///     store.simulate(&MachineConfig::baseline(), spec, n, harness::SEED).cpi()
 /// });
 /// ```
 pub fn par_map_benchmarks<R, F>(specs: &[BenchmarkSpec], f: F) -> Vec<R>

@@ -1,20 +1,27 @@
-//! In-process memoizing artifact store.
+//! In-process memoizing artifact store: the one way a workload key
+//! `(spec, n, seed)` becomes instructions, a simulation or a profile.
 //!
 //! The figure binaries re-derive the same artifacts over and over: the
-//! `report` binary records each benchmark's trace once per experiment
+//! `report` binary profiles each benchmark once per experiment
 //! section, the sweep studies re-simulate identical `(trace, config)`
 //! pairs, and `calibrate` replays the whole suite per candidate. Every
 //! one of those artifacts is a pure function of its inputs — traces of
 //! `(spec, seed, length)`, simulator reports and profiles of
 //! `(trace, config)` — so the store memoizes them behind [`Arc`]s:
 //!
-//! * [`ArtifactStore::trace`] — recorded traces, keyed
-//!   `(spec, seed, len)`, for the simulator, which replays one several
-//!   times (a cold profile streams the generator instead);
+//! * [`ArtifactStore::trace`] — the recorded trace of a key, shared
+//!   while some caller holds it: the table keeps only a [`Weak`]
+//!   reference, so the trace is freed when its last holder drops it;
 //! * [`ArtifactStore::simulate`] — detailed-simulator reports, keyed
 //!   `(trace key, machine config)`;
 //! * [`ArtifactStore::profile`] — functional profiles, keyed
 //!   `(trace key, processor params, profile name)`.
+//!
+//! Simulations and profiles read their instructions by one rule: they
+//! replay the trace if a caller holds it, or else stream the generator
+//! of `(spec, seed)` over the memoized program, bounded to `n`. A
+//! caller that reads one key several times (a validation case runs
+//! five simulation sets) holds the trace for that operation.
 //!
 //! Keys embed the full `Debug` rendering of the spec/config/params
 //! (Rust's `{:?}` for `f64` is the exact shortest round-trip form, so
@@ -24,25 +31,30 @@
 //! deterministic, so every caller observes identical values and
 //! figure output stays byte-identical to a cold, serial run.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use fosm_branch::PredictorConfig;
 use fosm_cache::HierarchyConfig;
 use fosm_core::params::ProcessorParams;
-use fosm_core::profile::{Probe, ProbeBank, ProgramProfile};
+use fosm_core::profile::{Probe, ProbeBank, ProfileCollector, ProgramProfile};
 use fosm_core::ModelError;
-use fosm_sim::{MachineConfig, SimReport};
+use fosm_sim::{Machine, MachineConfig, SimReport, TraceEvent};
 use fosm_trace::{CorpusFile, PackedTrace, TraceSource};
 use fosm_workloads::{BenchmarkSpec, SyntheticProgram, WorkloadGenerator};
 
 use crate::disk::DiskCache;
-use crate::harness;
 
 /// Key of a recorded trace: exact spec rendering, seed, length.
 type TraceKey = (String, u64, u64);
+
+/// Key of a simulation: trace key, full machine configuration
+/// rendering.
+type SimKey = (TraceKey, String);
 
 /// Key of a functional profile: trace key, full probe configuration
 /// rendering, probe name.
@@ -66,16 +78,77 @@ impl Counter {
     fn insert(&self) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
     }
+    fn load(&self) -> [u64; 3] {
+        [&self.hits, &self.misses, &self.inserts].map(|c| c.load(Ordering::Relaxed))
+    }
+}
+
+/// A memo table: values behind `Arc`s, the first insert of a key
+/// wins, and every lookup and insert is counted.
+struct Memo<K, V> {
+    table: Mutex<HashMap<K, Arc<V>>>,
+    traffic: Counter,
+}
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo {
+            table: Mutex::new(HashMap::new()),
+            traffic: Counter::default(),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V> Memo<K, V> {
+    /// The memoized value of `key`, counted as a hit or a miss.
+    fn get(&self, key: &K) -> Option<Arc<V>> {
+        let found = self.table.lock().expect("store lock").get(key).cloned();
+        match found {
+            Some(_) => self.traffic.hit(),
+            None => self.traffic.miss(),
+        }
+        found
+    }
+
+    /// Inserts `value` unless a concurrent caller inserted `key`
+    /// first. Returns the table's value and whether it is this call's.
+    fn insert(&self, key: K, value: V) -> (Arc<V>, bool) {
+        match self.table.lock().expect("store lock").entry(key) {
+            Entry::Occupied(e) => (Arc::clone(e.get()), false),
+            Entry::Vacant(e) => {
+                self.traffic.insert();
+                (Arc::clone(e.insert(Arc::new(value))), true)
+            }
+        }
+    }
+
+    /// The memoized value of `key`, or else `compute`'s. The value is
+    /// computed *outside* the lock, so a slow simulation never
+    /// serializes unrelated lookups, and a concurrent duplicate
+    /// computation loses to the first insert. The flag says whether
+    /// this call computed the value that won — for side effects that
+    /// must happen exactly once per key. Errors are not memoized.
+    fn get_or_try<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, bool), E> {
+        match self.get(&key) {
+            Some(v) => Ok((v, false)),
+            None => Ok(self.insert(key, compute()?)),
+        }
+    }
 }
 
 /// A snapshot of the store's traffic, for diagnostics output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Trace lookups served from memory. Only simulations and explicit
-    /// [`ArtifactStore::trace`] calls look a trace up; profiles either
-    /// replay a held trace uncounted or stream the generator.
+    /// Explicit [`ArtifactStore::trace`] calls served by a trace that
+    /// a live holder shares. Simulations and profiles never count
+    /// here: they replay a held trace or stream the generator.
     pub trace_hits: u64,
-    /// Traces recorded because no memoized copy existed.
+    /// [`ArtifactStore::trace`] calls that recorded the trace because
+    /// no caller held it.
     pub trace_misses: u64,
     /// Simulator reports served from memory.
     pub sim_hits: u64,
@@ -86,7 +159,7 @@ pub struct StoreStats {
     /// Profile collections actually executed.
     pub profile_misses: u64,
     /// Traces that won the insert race (misses minus discarded
-    /// duplicate computations).
+    /// duplicate recordings).
     pub trace_inserts: u64,
     /// Simulator reports that won the insert race.
     pub sim_inserts: u64,
@@ -121,24 +194,25 @@ impl StoreStats {
 }
 
 /// A traced simulation artifact: the report plus its miss-event stream.
-type TracedRun = (SimReport, Vec<fosm_sim::TraceEvent>);
+type TracedRun = (SimReport, Vec<TraceEvent>);
 
 /// The memoizing artifact store. One global instance serves a whole
 /// process (see [`ArtifactStore::global`]); independent instances can
 /// be created for tests.
 #[derive(Default)]
 pub struct ArtifactStore {
-    traces: Mutex<HashMap<TraceKey, Arc<PackedTrace>>>,
-    /// Built static programs, keyed by the exact spec rendering: a
-    /// streamed profile walks one without rebuilding it, so the probes
-    /// of one key profiled one request at a time build it once.
-    programs: Mutex<HashMap<String, Arc<SyntheticProgram>>>,
-    reports: Mutex<HashMap<(TraceKey, String), Arc<SimReport>>>,
-    traced: Mutex<HashMap<(TraceKey, String), Arc<TracedRun>>>,
-    profiles: Mutex<HashMap<ProfileKey, Arc<ProgramProfile>>>,
+    /// Recorded traces, alive only while a caller holds one; dead
+    /// entries are pruned on insert.
+    traces: Mutex<HashMap<TraceKey, Weak<PackedTrace>>>,
     trace_traffic: Counter,
-    sim_traffic: Counter,
-    profile_traffic: Counter,
+    /// Built static programs, keyed by the exact spec rendering: a
+    /// streamed simulation or profile walks one without rebuilding it,
+    /// so the artifacts of one key computed one request at a time
+    /// build it once.
+    programs: Mutex<HashMap<String, Arc<SyntheticProgram>>>,
+    reports: Memo<SimKey, SimReport>,
+    traced: Memo<SimKey, TracedRun>,
+    profiles: Memo<ProfileKey, ProgramProfile>,
     /// Optional persistence layer: profiles missing from the in-memory
     /// table are read through it before being recomputed, and written
     /// through it after computation, so the warm state survives
@@ -179,18 +253,38 @@ impl ArtifactStore {
         self.disk.get()
     }
 
-    /// The benchmark's recorded trace (packed SoA layout), recording
-    /// it on first use. Memory only: the disk cache never holds traces,
-    /// because generating one from `(spec, n, seed)` is cheaper than
-    /// loading it back. Simulation records through here; a cold
-    /// profile does not (see [`profile_many`](Self::profile_many)).
+    /// The benchmark's recorded trace (packed SoA layout): the one a
+    /// live caller already holds, or a new recording. The store keeps
+    /// only a weak reference, so the trace lives exactly as long as
+    /// some caller holds the returned `Arc`; while one does, every
+    /// simulation and profile of the key replays it. Memory only: the
+    /// disk cache never holds traces, because generating one from
+    /// `(spec, n, seed)` is cheaper than loading it back.
     pub fn trace(&self, spec: &BenchmarkSpec, n: u64, seed: u64) -> Arc<PackedTrace> {
-        memo(
-            &self.traces,
-            &self.trace_traffic,
-            trace_key(spec, n, seed),
-            || harness::record_seeded(spec, n, seed),
-        )
+        let key = trace_key(spec, n, seed);
+        if let Some(trace) = self.held(&key) {
+            self.trace_traffic.hit();
+            return trace;
+        }
+        self.trace_traffic.miss();
+        let recorded = {
+            let _span = fosm_obs::span("record");
+            Arc::new(PackedTrace::record(&mut self.generator(spec, seed), n))
+        };
+        let mut table = self.traces.lock().expect("store lock");
+        if let Some(raced) = table.get(&key).and_then(Weak::upgrade) {
+            return raced;
+        }
+        table.retain(|_, trace| trace.strong_count() > 0);
+        table.insert(key, Arc::downgrade(&recorded));
+        self.trace_traffic.insert();
+        recorded
+    }
+
+    /// The trace of `key` if a caller holds it. Not trace traffic.
+    fn held(&self, key: &TraceKey) -> Option<Arc<PackedTrace>> {
+        let table = self.traces.lock().expect("store lock");
+        table.get(key).and_then(Weak::upgrade)
     }
 
     /// The detailed simulator's report for `(trace, config)`, running
@@ -202,30 +296,10 @@ impl ArtifactStore {
         n: u64,
         seed: u64,
     ) -> Arc<SimReport> {
-        let trace = self.trace(spec, n, seed);
         let key = (trace_key(spec, n, seed), format!("{config:?}"));
-        let tracer = fosm_obs::tracer();
-        if !tracer.enabled() {
-            return memo(&self.reports, &self.sim_traffic, key, || {
-                harness::simulate(config, &trace)
-            });
-        }
-        // With the global tracer on, events are collected locally and
-        // published only by the thread that wins the insert race —
-        // otherwise a concurrent duplicate computation (discarded by
-        // the memo) would double-record its events and the trace file
-        // would stop being byte-equal across thread counts.
-        let mut collected: Option<Vec<fosm_sim::TraceEvent>> = None;
-        let (report, won) = memo_entry(&self.reports, &self.sim_traffic, key, || {
-            let (report, events) = harness::simulate_traced(config, &trace);
-            collected = Some(events);
-            report
+        let Ok(report) = self.memo_report(key, |collect| {
+            Ok::<_, Infallible>(self.run_keyed(config, spec, n, seed, collect))
         });
-        if won {
-            if let Some(mut events) = collected {
-                tracer.record_batch(&mut events);
-            }
-        }
         report
     }
 
@@ -240,13 +314,54 @@ impl ArtifactStore {
         n: u64,
         seed: u64,
     ) -> Arc<TracedRun> {
-        let trace = self.trace(spec, n, seed);
-        memo(
-            &self.traced,
-            &self.sim_traffic,
-            (trace_key(spec, n, seed), format!("{config:?}")),
-            || harness::simulate_traced(config, &trace),
-        )
+        let key = (trace_key(spec, n, seed), format!("{config:?}"));
+        let Ok((run, _)) = self.traced.get_or_try(key, || {
+            Ok::<_, Infallible>(self.run_keyed(config, spec, n, seed, true))
+        });
+        run
+    }
+
+    /// Memoizes one simulation report. `run(collect)` simulates, and
+    /// returns the run's miss events when `collect` is set. With the
+    /// global tracer on, events are collected locally and published
+    /// only by the call that wins the insert race — otherwise a
+    /// concurrent duplicate computation (discarded by the memo) would
+    /// double-record its events and the trace file would stop being
+    /// byte-equal across thread counts.
+    fn memo_report<E>(
+        &self,
+        key: SimKey,
+        run: impl FnOnce(bool) -> Result<TracedRun, E>,
+    ) -> Result<Arc<SimReport>, E> {
+        let tracer = fosm_obs::tracer();
+        let collect = tracer.enabled();
+        let mut events = Vec::new();
+        let (report, won) = self.reports.get_or_try(key, || {
+            let (report, collected) = run(collect)?;
+            events = collected;
+            Ok(report)
+        })?;
+        if won && collect {
+            tracer.record_batch(&mut events);
+        }
+        Ok(report)
+    }
+
+    /// One simulation of a workload key, by the store's input rule: a
+    /// replay of the trace if a caller holds it, else the generator
+    /// streamed over the memoized program.
+    fn run_keyed(
+        &self,
+        config: &MachineConfig,
+        spec: &BenchmarkSpec,
+        n: u64,
+        seed: u64,
+        collect: bool,
+    ) -> TracedRun {
+        match self.held(&trace_key(spec, n, seed)) {
+            Some(trace) => run_machine(config, &mut trace.replay(), collect),
+            None => run_machine(config, &mut self.generator(spec, seed).take(n), collect),
+        }
     }
 
     /// The functional profile for `(trace, params, name)` under the
@@ -304,12 +419,8 @@ impl ArtifactStore {
     /// One functional profile per probe in `bank` (bank order), keyed
     /// individually: memoized probes are served from the store, and
     /// all missing probes are collected together in a **single fused
-    /// pass** (see [`harness::profile_many`]).
-    ///
-    /// The pass replays the trace if the traces table already holds
-    /// it (a simulation of the same key recorded it). Otherwise the
-    /// generator streams straight into the profiler and no trace is
-    /// built or kept. Neither case counts as trace traffic.
+    /// pass** (see [`ProfileCollector::collect_many`]), by the same
+    /// input rule as a simulation.
     ///
     /// # Errors
     ///
@@ -323,15 +434,9 @@ impl ArtifactStore {
         seed: u64,
     ) -> Result<Vec<Arc<ProgramProfile>>, ModelError> {
         let tkey = trace_key(spec, n, seed);
-        self.profile_many_keyed(params, bank, &tkey, |sub_bank| {
-            let held = self.traces.lock().expect("store lock").get(&tkey).cloned();
-            match held {
-                Some(trace) => harness::profile_many(params, sub_bank, &trace),
-                None => {
-                    let mut generator = self.generator(spec, seed);
-                    harness::profile_many_from(params, sub_bank, &mut generator.take(n))
-                }
-            }
+        self.profile_many_keyed(params, bank, &tkey, |sub_bank| match self.held(&tkey) {
+            Some(trace) => collect_many(params, sub_bank, &mut trace.replay()),
+            None => collect_many(params, sub_bank, &mut self.generator(spec, seed).take(n)),
         })
     }
 
@@ -373,7 +478,7 @@ impl ArtifactStore {
     ) -> Result<Vec<Arc<ProgramProfile>>, ModelError> {
         self.profile_many_keyed(params, bank, &corpus_trace_key(corpus), |sub_bank| {
             let mut replay = corpus.replay();
-            let profiles = harness::profile_many_from(params, sub_bank, &mut replay)?;
+            let profiles = collect_many(params, sub_bank, &mut replay)?;
             match replay.take_error() {
                 Some(e) => Err(corpus_error(corpus, &e)),
                 None => Ok(profiles),
@@ -392,10 +497,7 @@ impl ArtifactStore {
         tkey: &TraceKey,
         fill: impl FnOnce(&ProbeBank) -> Result<Vec<ProgramProfile>, ModelError>,
     ) -> Result<Vec<Arc<ProgramProfile>>, ModelError> {
-        if bank.is_empty() {
-            return Ok(Vec::new());
-        }
-        let keys: Vec<_> = bank
+        let keys: Vec<ProfileKey> = bank
             .probes()
             .iter()
             .map(|probe| {
@@ -406,39 +508,35 @@ impl ArtifactStore {
                 )
             })
             .collect();
-        let mut slots: Vec<Option<Arc<ProgramProfile>>> = {
-            let table = self.profiles.lock().expect("store lock");
-            keys.iter().map(|key| table.get(key).cloned()).collect()
-        };
-        let mut missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
-        for slot in &slots {
-            if slot.is_some() {
-                self.profile_traffic.hit();
-                // Live scoped counters alongside the run-boundary
-                // `StoreStats::observe_into` flush (which uses the
-                // `store.profile.hits`/`misses` names): a daemon
-                // request's scoped registry sees its own memo traffic
-                // immediately, without double-counting the flushed
-                // aggregate.
-                fosm_obs::counter_add("store.profile.memo_hits", 1);
-            } else {
-                self.profile_traffic.miss();
-                fosm_obs::counter_add("store.profile.memo_misses", 1);
-            }
+        let mut slots: Vec<Option<Arc<ProgramProfile>>> = Vec::with_capacity(keys.len());
+        for key in &keys {
+            let slot = self.profiles.get(key);
+            // Live scoped counters alongside the run-boundary
+            // `StoreStats::observe_into` flush (which uses the
+            // `store.profile.hits`/`misses` names): a daemon request's
+            // scoped registry sees its own memo traffic immediately,
+            // without double-counting the flushed aggregate.
+            let name = match slot {
+                Some(_) => "store.profile.memo_hits",
+                None => "store.profile.memo_misses",
+            };
+            fosm_obs::counter_add(name, 1);
+            slots.push(slot);
         }
+        let mut missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
         // Read memory-missing probes through the disk cache before
         // paying for a replay; only probes absent from both layers join
         // the fused pass.
         if let Some(disk) = self.disk.get() {
-            let mut still_missing = Vec::with_capacity(missing.len());
-            for &i in &missing {
-                let disk_key = disk_profile_key(&keys[i]);
-                match disk.load::<ProgramProfile>("profile", &disk_key) {
-                    Some(profile) => slots[i] = Some(self.insert_profile(&keys[i], profile)),
-                    None => still_missing.push(i),
+            missing.retain(|&i| {
+                match disk.load::<ProgramProfile>("profile", &disk_profile_key(&keys[i])) {
+                    Some(profile) => {
+                        slots[i] = Some(self.profiles.insert(keys[i].clone(), profile).0);
+                        false
+                    }
+                    None => true,
                 }
-            }
-            missing = still_missing;
+            });
         }
         if !missing.is_empty() {
             let sub_bank: ProbeBank = missing.iter().map(|&i| bank.probes()[i].clone()).collect();
@@ -447,7 +545,7 @@ impl ArtifactStore {
                 if let Some(disk) = self.disk.get() {
                     disk.store("profile", &disk_profile_key(&keys[i]), &profile);
                 }
-                slots[i] = Some(self.insert_profile(&keys[i], profile));
+                slots[i] = Some(self.profiles.insert(keys[i].clone(), profile).0);
             }
         }
         Ok(slots
@@ -470,52 +568,56 @@ impl ArtifactStore {
         corpus: &CorpusFile,
     ) -> Result<Arc<SimReport>, ModelError> {
         let key = (corpus_trace_key(corpus), format!("{config:?}"));
-        if let Some(v) = self.reports.lock().expect("store lock").get(&key) {
-            self.sim_traffic.hit();
-            return Ok(Arc::clone(v));
-        }
-        self.sim_traffic.miss();
-        let mut replay = corpus.replay();
-        let report = harness::simulate_from(config, &mut replay);
-        if let Some(e) = replay.take_error() {
-            return Err(corpus_error(corpus, &e));
-        }
-        match self.reports.lock().expect("store lock").entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => Ok(Arc::clone(e.get())),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.sim_traffic.insert();
-                Ok(Arc::clone(e.insert(Arc::new(report))))
+        self.memo_report(key, |collect| {
+            let mut replay = corpus.replay();
+            let run = run_machine(config, &mut replay, collect);
+            match replay.take_error() {
+                Some(e) => Err(corpus_error(corpus, &e)),
+                None => Ok(run),
             }
-        }
-    }
-
-    /// Inserts a computed (or disk-loaded) profile into the in-memory
-    /// table, keeping the first inserted allocation on a race.
-    fn insert_profile(&self, key: &ProfileKey, profile: ProgramProfile) -> Arc<ProgramProfile> {
-        let mut table = self.profiles.lock().expect("store lock");
-        match table.entry(key.clone()) {
-            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.profile_traffic.insert();
-                Arc::clone(e.insert(Arc::new(profile)))
-            }
-        }
+        })
     }
 
     /// Current hit/miss counts.
     pub fn stats(&self) -> StoreStats {
+        let [trace_hits, trace_misses, trace_inserts] = self.trace_traffic.load();
+        let [report_hits, report_misses, report_inserts] = self.reports.traffic.load();
+        let [traced_hits, traced_misses, traced_inserts] = self.traced.traffic.load();
+        let [profile_hits, profile_misses, profile_inserts] = self.profiles.traffic.load();
         StoreStats {
-            trace_hits: self.trace_traffic.hits.load(Ordering::Relaxed),
-            trace_misses: self.trace_traffic.misses.load(Ordering::Relaxed),
-            sim_hits: self.sim_traffic.hits.load(Ordering::Relaxed),
-            sim_misses: self.sim_traffic.misses.load(Ordering::Relaxed),
-            profile_hits: self.profile_traffic.hits.load(Ordering::Relaxed),
-            profile_misses: self.profile_traffic.misses.load(Ordering::Relaxed),
-            trace_inserts: self.trace_traffic.inserts.load(Ordering::Relaxed),
-            sim_inserts: self.sim_traffic.inserts.load(Ordering::Relaxed),
-            profile_inserts: self.profile_traffic.inserts.load(Ordering::Relaxed),
+            trace_hits,
+            trace_misses,
+            sim_hits: report_hits + traced_hits,
+            sim_misses: report_misses + traced_misses,
+            profile_hits,
+            profile_misses,
+            trace_inserts,
+            sim_inserts: report_inserts + traced_inserts,
+            profile_inserts,
         }
     }
+}
+
+/// One detailed-simulator run over `source`. With `collect`, the run's
+/// miss events are returned instead of left to the global tracer.
+fn run_machine<S: TraceSource>(config: &MachineConfig, source: &mut S, collect: bool) -> TracedRun {
+    let _span = fosm_obs::span("simulate");
+    let mut machine = Machine::new(config.clone());
+    if collect {
+        machine.run_traced(source)
+    } else {
+        (machine.run(source), Vec::new())
+    }
+}
+
+/// One fused profile pass over `source` for every probe in `bank`.
+fn collect_many<S: TraceSource>(
+    params: &ProcessorParams,
+    bank: &ProbeBank,
+    source: &mut S,
+) -> Result<Vec<ProgramProfile>, ModelError> {
+    let _span = fosm_obs::span("profile");
+    ProfileCollector::new(params).collect_many(source, bank, u64::MAX)
 }
 
 fn trace_key(spec: &BenchmarkSpec, n: u64, seed: u64) -> TraceKey {
@@ -558,55 +660,27 @@ fn probe_config_key(params: &ProcessorParams, probe: &Probe) -> String {
     )
 }
 
-/// Double-checked memoization: the value is computed *outside* the
-/// lock (so a slow simulation never serializes unrelated lookups), and
-/// a concurrent duplicate computation is discarded in favor of the
-/// first insert.
-fn memo<K, V>(
-    table: &Mutex<HashMap<K, Arc<V>>>,
-    traffic: &Counter,
-    key: K,
-    compute: impl FnOnce() -> V,
-) -> Arc<V>
-where
-    K: Eq + Hash,
-{
-    memo_entry(table, traffic, key, compute).0
-}
-
-/// Like [`memo`], also reporting whether this call's computation won
-/// the insert race (`false` on a hit or a discarded duplicate) — for
-/// side effects that must happen exactly once per key.
-fn memo_entry<K, V>(
-    table: &Mutex<HashMap<K, Arc<V>>>,
-    traffic: &Counter,
-    key: K,
-    compute: impl FnOnce() -> V,
-) -> (Arc<V>, bool)
-where
-    K: Eq + Hash,
-{
-    if let Some(v) = table.lock().expect("store lock").get(&key) {
-        traffic.hit();
-        return (Arc::clone(v), false);
-    }
-    traffic.miss();
-    let v = Arc::new(compute());
-    match table.lock().expect("store lock").entry(key) {
-        std::collections::hash_map::Entry::Occupied(e) => (Arc::clone(e.get()), false),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            traffic.insert();
-            (Arc::clone(e.insert(v)), true)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness;
+
+    /// An unmemoized recording of `n` instructions of `spec` at the
+    /// figure seed: the reference the store's paths must match.
+    fn recorded(spec: &BenchmarkSpec, n: u64) -> PackedTrace {
+        PackedTrace::record(&mut WorkloadGenerator::new(spec, harness::SEED), n)
+    }
+
+    /// An unmemoized baseline profile of `trace`.
+    fn direct_profile(params: &ProcessorParams, name: &str, trace: &PackedTrace) -> ProgramProfile {
+        ProfileCollector::new(params)
+            .with_name(name)
+            .collect(&mut trace.replay(), u64::MAX)
+            .expect("profile")
+    }
 
     #[test]
-    fn trace_is_recorded_once_and_shared() {
+    fn trace_is_shared_while_held_and_rerecorded_after() {
         let store = ArtifactStore::new();
         let spec = BenchmarkSpec::gzip();
         let a = store.trace(&spec, 2_000, 7);
@@ -615,6 +689,21 @@ mod tests {
         assert_eq!(a.len(), 2_000);
         let s = store.stats();
         assert_eq!((s.trace_hits, s.trace_misses, s.trace_inserts), (1, 1, 1));
+
+        // The last holder drops the trace and the store lets it go: the
+        // next call records it again, identically.
+        let first = (*a).clone();
+        drop((a, b));
+        assert!(store.held(&trace_key(&spec, 2_000, 7)).is_none());
+        let again = store.trace(&spec, 2_000, 7);
+        assert_eq!(*again, first);
+        let s = store.stats();
+        assert_eq!((s.trace_hits, s.trace_misses, s.trace_inserts), (1, 2, 2));
+
+        // A dead entry is pruned when another trace is inserted.
+        drop(again);
+        let _other = store.trace(&spec, 1_000, 7);
+        assert_eq!(store.traces.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -630,20 +719,34 @@ mod tests {
     }
 
     #[test]
-    fn memoized_simulation_matches_direct_run() {
+    fn simulations_stream_or_replay_a_held_trace_and_keep_none() {
         let store = ArtifactStore::new();
         let spec = BenchmarkSpec::gzip();
         let config = MachineConfig::baseline();
-        let direct = {
-            let trace = harness::record_seeded(&spec, 3_000, harness::SEED);
-            harness::simulate(&config, &trace)
-        };
-        let memoized = store.simulate(&config, &spec, 3_000, harness::SEED);
-        assert_eq!(*memoized, direct);
+        let direct = Machine::new(config.clone()).run(&mut recorded(&spec, 3_000).replay());
+        let streamed = store.simulate(&config, &spec, 3_000, harness::SEED);
+        assert_eq!(*streamed, direct);
+        assert!(store.traces.lock().unwrap().is_empty(), "no trace kept");
         // Second lookup is a hit on the same allocation.
         let again = store.simulate(&config, &spec, 3_000, harness::SEED);
-        assert!(Arc::ptr_eq(&memoized, &again));
+        assert!(Arc::ptr_eq(&streamed, &again));
         assert_eq!(store.stats().sim_misses, 1);
+
+        // While a caller holds the trace, a simulation replays it,
+        // uncounted, to the same report, and keeps no copy.
+        let store = ArtifactStore::new();
+        let held = store.trace(&spec, 3_000, harness::SEED);
+        assert_eq!(
+            *store.simulate(&config, &spec, 3_000, harness::SEED),
+            direct
+        );
+        assert_eq!(Arc::strong_count(&held), 1);
+        let s = store.stats();
+        assert_eq!(
+            (s.trace_hits, s.trace_misses),
+            (0, 1),
+            "only trace() counts"
+        );
     }
 
     #[test]
@@ -651,10 +754,7 @@ mod tests {
         let store = ArtifactStore::new();
         let spec = BenchmarkSpec::gzip();
         let params = harness::params_of(&MachineConfig::baseline());
-        let direct = {
-            let trace = harness::record_seeded(&spec, 3_000, harness::SEED);
-            harness::profile(&params, &spec.name, &trace)
-        };
+        let direct = direct_profile(&params, &spec.name, &recorded(&spec, 3_000));
         let memoized = store.profile(&params, &spec.name, &spec, 3_000, harness::SEED);
         assert_eq!(*memoized, direct);
         assert_eq!(store.stats().profile_misses, 1);
@@ -783,8 +883,8 @@ mod tests {
             "fosm-store-corpus-test-{}-{name}.fct",
             std::process::id()
         ));
-        let trace = harness::record_seeded(&BenchmarkSpec::gzip(), n, harness::SEED);
-        fosm_trace::write_corpus(&path, &trace).expect("write corpus");
+        fosm_trace::write_corpus(&path, &recorded(&BenchmarkSpec::gzip(), n))
+            .expect("write corpus");
         path
     }
 
@@ -799,8 +899,7 @@ mod tests {
         let profiles = store
             .profile_many_corpus(&params, &bank, &corpus)
             .expect("corpus profiles");
-        let trace = harness::record_seeded(&spec, 3_000, harness::SEED);
-        let direct = harness::profile(&params, &spec.name, &trace);
+        let direct = direct_profile(&params, &spec.name, &recorded(&spec, 3_000));
         assert_eq!(*profiles[0], direct, "paged replay must be exact");
         // Second call is a pure memory hit on the identity-keyed entry.
         let again = store
@@ -817,8 +916,8 @@ mod tests {
         let path = temp_corpus("simulate", 3_000);
         let corpus = CorpusFile::open(&path).expect("open corpus");
         let config = MachineConfig::baseline();
-        let trace = harness::record_seeded(&BenchmarkSpec::gzip(), 3_000, harness::SEED);
-        let direct = harness::simulate(&config, &trace);
+        let trace = recorded(&BenchmarkSpec::gzip(), 3_000);
+        let direct = Machine::new(config.clone()).run(&mut trace.replay());
 
         let store = ArtifactStore::new();
         let report = store.simulate_corpus(&config, &corpus).expect("sim");
@@ -858,8 +957,7 @@ mod tests {
         // First probe is the memoized allocation; second was collected
         // in the fused fill and matches a direct computation.
         assert!(Arc::ptr_eq(&profiles[0], &warm));
-        let trace = store.trace(&spec, 3_000, harness::SEED);
-        let direct = harness::profile(&params, &spec.name, &trace);
+        let direct = direct_profile(&params, &spec.name, &recorded(&spec, 3_000));
         assert_eq!(*profiles[1], direct);
         let s = store.stats();
         assert_eq!(s.profile_hits, 1);
@@ -880,9 +978,9 @@ mod tests {
             "streaming is no trace traffic"
         );
 
-        // Once a simulation holds the trace, a profile replays it,
+        // While a caller holds the trace, a profile replays it,
         // uncounted, and gets the same answer.
-        store.simulate(&MachineConfig::baseline(), &spec, 3_000, harness::SEED);
+        let held = store.trace(&spec, 3_000, harness::SEED);
         let before = store.stats();
         let replayed = store.profile(&params, "replayed", &spec, 3_000, harness::SEED);
         let after = store.stats();
@@ -890,6 +988,7 @@ mod tests {
             (after.trace_hits, after.trace_misses),
             (before.trace_hits, before.trace_misses)
         );
+        assert_eq!(Arc::strong_count(&held), 1, "the profile kept no copy");
         let strip = |p: &ProgramProfile| ProgramProfile {
             name: String::new(),
             ..p.clone()

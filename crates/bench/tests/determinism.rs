@@ -57,53 +57,52 @@ fn report_stdout_is_thread_invariant() {
 /// at any thread count: events are recorded once per unique simulation
 /// (the artifact store publishes a racing duplicate's events exactly
 /// once) and the exporter sorts by cycle extent, so neither scheduling
-/// nor thread identity can leak into the file.
+/// nor thread identity can leak into the file. `fig15` runs one
+/// simulation per benchmark, `fig02` five over one held trace.
 #[test]
 fn trace_files_are_thread_invariant() {
-    let exe = env!("CARGO_BIN_EXE_fig15");
-    let dir = std::env::temp_dir().join(format!("fosm-trace-det-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path_1 = dir.join("threads1.trace.json");
-    let path_8 = dir.join("threads8.trace.json");
+    for exe in [env!("CARGO_BIN_EXE_fig15"), env!("CARGO_BIN_EXE_fig02")] {
+        let dir = std::env::temp_dir().join(format!("fosm-trace-det-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path_1 = dir.join("threads1.trace.json");
+        let path_8 = dir.join("threads8.trace.json");
 
-    let serial = run(
-        exe,
-        &[
-            TRACE_LEN,
-            "--threads",
-            "1",
-            "--trace",
-            path_1.to_str().unwrap(),
-        ],
-    );
-    let parallel = run(
-        exe,
-        &[
-            TRACE_LEN,
-            "--threads",
-            "8",
-            "--trace",
-            path_8.to_str().unwrap(),
-        ],
-    );
-    assert_eq!(
-        serial.stdout, parallel.stdout,
-        "--trace changed stdout across thread counts"
-    );
+        let traced = |threads, path: &std::path::Path| {
+            run(
+                exe,
+                &[
+                    TRACE_LEN,
+                    "--threads",
+                    threads,
+                    "--trace",
+                    path.to_str().unwrap(),
+                ],
+            )
+        };
+        let serial = traced("1", &path_1);
+        let parallel = traced("8", &path_8);
+        assert_eq!(
+            serial.stdout, parallel.stdout,
+            "{exe}: --trace changed stdout across thread counts"
+        );
 
-    let a = std::fs::read(&path_1).expect("trace written at --threads 1");
-    let b = std::fs::read(&path_8).expect("trace written at --threads 8");
-    assert!(!a.is_empty(), "trace file is empty");
-    assert!(
-        a == b,
-        "trace files differ between --threads 1 ({} bytes) and --threads 8 ({} bytes)",
-        a.len(),
-        b.len()
-    );
-    let text = String::from_utf8(a).expect("trace is UTF-8");
-    assert!(text.starts_with("{\"traceEvents\":["), "not a Chrome trace");
-    assert!(text.contains("\"ph\":\"X\""), "no complete events recorded");
-    let _ = std::fs::remove_dir_all(&dir);
+        let a = std::fs::read(&path_1).expect("trace written at --threads 1");
+        let b = std::fs::read(&path_8).expect("trace written at --threads 8");
+        assert!(!a.is_empty(), "{exe}: trace file is empty");
+        assert!(
+            a == b,
+            "{exe}: trace files differ between --threads 1 ({} bytes) and --threads 8 ({} bytes)",
+            a.len(),
+            b.len()
+        );
+        let text = String::from_utf8(a).expect("trace is UTF-8");
+        assert!(
+            text.starts_with("{\"traceEvents\":["),
+            "{exe}: not a Chrome trace"
+        );
+        assert!(text.contains("\"ph\":\"X\""), "{exe}: no complete events");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// `--metrics <path>` must leave stdout untouched and write exactly

@@ -510,20 +510,26 @@ pub fn trace(args: Parsed) -> Result<(), String> {
     let seed: u64 = args.get("seed")?.unwrap_or(42u64);
     let top: usize = args.get("top")?.unwrap_or(10usize);
 
-    let trace = fosm_bench::harness::record_seeded(&spec, insts, seed);
-    let (report, events) = fosm_bench::harness::simulate_traced(&config, &trace);
-    let profile = fosm_bench::harness::profile_with(
-        &params,
-        &config.hierarchy,
-        config.predictor,
-        &spec.name,
-        &trace,
-    )
-    .map_err(|e| format!("profile collection failed: {e}"))?;
+    // The traced simulation and the profile replay the trace held here.
+    let store = fosm_bench::store::ArtifactStore::global();
+    let _trace = store.trace(&spec, insts, seed);
+    let traced = store.simulate_traced(&config, &spec, insts, seed);
+    let (report, events) = &*traced;
+    let profile = store
+        .profile_with(
+            &params,
+            &config.hierarchy,
+            config.predictor,
+            &spec.name,
+            &spec,
+            insts,
+            seed,
+        )
+        .map_err(|e| format!("profile collection failed: {e}"))?;
     let (est, penalties) = FirstOrderModel::new(params.clone())
         .event_penalties(&profile)
         .map_err(|e| e.to_string())?;
-    let diffs = fosm_validate::events::diff(&events, &penalties, &profile, &params);
+    let diffs = fosm_validate::events::diff(events, &penalties, &profile, &params);
 
     println!(
         "traced `{}`: {} instructions, {} cycles (sim CPI {:.4}, model CPI {:.4})",

@@ -29,17 +29,7 @@ mod serve_cmd;
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = run(&argv);
-    let tracer = fosm_obs::tracer();
-    if tracer.enabled() {
-        if let Some(path) = tracer.path() {
-            if let Err(e) = tracer.flush_to_path(&path) {
-                eprintln!(
-                    "warning: cannot write miss-event trace {}: {e}",
-                    path.display()
-                );
-            }
-        }
-    }
+    fosm_obs::flush_trace();
     fosm_obs::emit("fosm");
     match result {
         Ok(()) => ExitCode::SUCCESS,

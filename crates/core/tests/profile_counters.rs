@@ -15,7 +15,7 @@ use fosm_branch::PredictorConfig;
 use fosm_cache::{HierarchyConfig, TlbConfig};
 use fosm_core::{Probe, ProbeBank, ProcessorParams, ProfileCollector};
 use fosm_obs::Registry;
-use fosm_trace::VecTrace;
+use fosm_trace::PackedTrace;
 use fosm_workloads::{BenchmarkSpec, WorkloadGenerator};
 
 /// The non-zero `profile.cache.*` and `profile.branch.*` counters of
@@ -68,8 +68,8 @@ fn five_probes() -> ProbeBank {
     ])
 }
 
-fn gcc_trace() -> VecTrace {
-    VecTrace::record(
+fn gcc_trace() -> PackedTrace {
+    PackedTrace::record(
         &mut WorkloadGenerator::new(&BenchmarkSpec::gcc(), 5),
         20_000,
     )

@@ -8,7 +8,7 @@ use fosm_core::profile::ProgramProfile;
 use fosm_core::transient::{ramp_up, win_drain};
 use fosm_core::{branch, dcache, icache, Probe, ProbeBank, ProcessorParams, ProfileCollector};
 use fosm_depgraph::{IwCharacteristic, PowerLaw};
-use fosm_trace::VecTrace;
+use fosm_trace::PackedTrace;
 use fosm_workloads::{BenchmarkSpec, WorkloadGenerator};
 use proptest::prelude::*;
 
@@ -155,7 +155,7 @@ fn bench_of(idx: usize) -> BenchmarkSpec {
 fn collect_one(
     params: &ProcessorParams,
     probe: &Probe,
-    trace: &VecTrace,
+    trace: &PackedTrace,
     plan: Option<fosm_core::SamplingPlan>,
     max_counted: u64,
 ) -> ProgramProfile {
@@ -187,7 +187,7 @@ proptest! {
         bench in 0usize..4,
     ) {
         let params = ProcessorParams::baseline();
-        let trace = VecTrace::record(&mut WorkloadGenerator::new(&bench_of(bench), seed), 6_000);
+        let trace = PackedTrace::record(&mut WorkloadGenerator::new(&bench_of(bench), seed), 6_000);
         let bank = ProbeBank::from(probes.clone());
         let fused = ProfileCollector::new(&params)
             .collect_many(&mut trace.replay(), &bank, u64::MAX)
@@ -218,7 +218,7 @@ proptest! {
             warmup,
             period: sample + warmup + slack,
         };
-        let trace = VecTrace::record(&mut WorkloadGenerator::new(&bench_of(bench), seed), 10_000);
+        let trace = PackedTrace::record(&mut WorkloadGenerator::new(&bench_of(bench), seed), 10_000);
         let bank = ProbeBank::from(probes.clone());
         let fused = ProfileCollector::new(&params)
             .collect_many_sampled(&mut trace.replay(), &bank, plan, budget)

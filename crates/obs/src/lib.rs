@@ -178,16 +178,19 @@ pub fn emit(binary: &str) {
     }
 }
 
-/// Emits an explicit registry (e.g. one request's scoped registry in a
-/// long-running daemon) as a run manifest through the process-wide
-/// sink. Like [`emit`], a no-op under [`Sink::Noop`].
-pub fn emit_registry(binary: &str, registry: &Registry) {
-    let sink = sink();
-    if sink == Sink::Noop {
+/// Writes the global miss-event tracer to the path it was enabled
+/// with (`FOSM_TRACE` / `--trace`). Does nothing when tracing is off
+/// or no path is bound; a write failure is reported on stderr, never
+/// panicked on. Call once, at the end of `main`.
+pub fn flush_trace() {
+    let tracer = tracer();
+    let Some(path) = tracer.path().filter(|_| tracer.enabled()) else {
         return;
-    }
-    let manifest = Manifest::new(binary, registry.snapshot());
-    if let Err(e) = sink.emit(&manifest) {
-        eprintln!("fosm-obs: could not emit metrics: {e}");
+    };
+    if let Err(e) = tracer.flush_to_path(&path) {
+        eprintln!(
+            "warning: cannot write miss-event trace {}: {e}",
+            path.display()
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! Model-as-a-service daemon for the fosm toolchain.
 //!
 //! Everything else in this workspace is batch-shaped: one process, one
-//! request, exit. That shape wastes the two most expensive artifacts in
-//! the pipeline — recorded traces and functional profiles — whenever a
+//! request, exit. That shape wastes the most expensive artifacts in the
+//! pipeline — functional profiles and simulation reports — whenever a
 //! workflow issues many small model queries (interactive exploration,
 //! CI matrices, parameter sweeps driven by external tools). `fosm
 //! serve` keeps one process resident and makes the artifacts shared:

@@ -284,13 +284,13 @@ fn serve_connection(
             Err(why) => (
                 "malformed",
                 Response::err("malformed-request", why),
-                Phases::default(),
+                Phases::UNADMITTED,
             ),
-            Ok(req) if shutdown => (req.kind(), service.execute(&req), Phases::default()),
+            Ok(req) if shutdown => (req.kind(), service.execute(&req), Phases::UNADMITTED),
             Ok(req) if stop.load(Ordering::SeqCst) => (
                 req.kind(),
                 Response::err("shutting-down", "daemon is shutting down"),
-                Phases::default(),
+                Phases::UNADMITTED,
             ),
             Ok(req) => {
                 let (response, phases) = service.admit(req.kind(), || service.execute(&req));
@@ -409,6 +409,28 @@ mod tests {
         let resp = conn.send(&Request::Ping).expect("ping after garbage");
         assert_eq!(resp, Response::ok("pong\n"));
         server.stop_and_join();
+    }
+
+    #[test]
+    fn requests_that_compute_nothing_are_recorded_as_cache_hits() {
+        let server = start_test_server();
+        let service = Arc::clone(&server.service);
+        let mut conn = client::Connection::open(&server.addr().to_string()).expect("connect");
+        conn.send_raw(b"this is not json").expect("raw send");
+        conn.send(&Request::Ping).expect("ping");
+        conn.send(&Request::Shutdown).expect("shutdown");
+        server.join();
+        let records: Vec<_> = service
+            .telemetry()
+            .flight()
+            .records()
+            .into_iter()
+            .map(|r| (r.kind, r.cache_hit))
+            .collect();
+        assert_eq!(
+            records,
+            [("malformed", true), ("ping", true), ("shutdown", true)]
+        );
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl Drop for Permit<'_> {
 
 /// Where one admitted request's time went before its response was
 /// written (see [`telemetry`](crate::telemetry) for the phases).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Phases {
     /// Wait for a permit, µs.
     pub queue_us: u64,
@@ -117,6 +117,17 @@ pub struct Phases {
     pub exec_us: u64,
     /// Every profile the request needed was already in the store.
     pub cache_hit: bool,
+}
+
+impl Phases {
+    /// A request answered without a permit (malformed, `shutdown`, or
+    /// refused while shutting down): no wait, no work, and no profile
+    /// it could have missed.
+    pub const UNADMITTED: Phases = Phases {
+        queue_us: 0,
+        exec_us: 0,
+        cache_hit: true,
+    };
 }
 
 /// The request executor: artifact store and admission permits.
@@ -556,6 +567,25 @@ mod tests {
         assert!(out.starts_with("first-order model estimate for `gzip:full`:\n"));
         assert!(out.contains(" CPI   ("));
         assert!(out.contains("penalties: branch "));
+    }
+
+    #[test]
+    fn a_validate_request_keeps_no_trace() {
+        let service = test_service();
+        let validate = ValidateRequest {
+            bench: "gzip".into(),
+            insts: 3_000,
+            seed: 7,
+            machine: MachineSpec::default(),
+        };
+        body(service.execute(&Request::Validate(validate)));
+        let before = service.store.stats().trace_misses;
+        let _trace = service.store.trace(&BenchmarkSpec::gzip(), 3_000, 7);
+        assert_eq!(
+            service.store.stats().trace_misses,
+            before + 1,
+            "the request's trace was freed when it returned"
+        );
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! * [`VecTrace`] — an owned, replayable trace buffer,
 //! * [`PackedTrace`] — the same trace in packed structure-of-arrays
 //!   columns (~4x smaller), with zero-copy replay cursors,
-//! * [`SliceTrace`] — a borrowing replay cursor over recorded
-//!   instructions, for cloneless concurrent replays,
 //! * [`CorpusWriter`]/[`CorpusFile`]/[`FileReplay`] — the one on-disk
 //!   trace format (`FOSMTRC1`): versioned, checksummed files with a
 //!   chunk-paged replay cursor whose resident memory is O(page), not
@@ -44,7 +42,6 @@ mod adapters;
 pub mod corpus;
 mod packed;
 mod sampling;
-mod slice_trace;
 mod source;
 mod stats;
 mod vec_trace;
@@ -55,7 +52,6 @@ pub use corpus::{
 };
 pub use packed::{PackedReplay, PackedTrace};
 pub use sampling::Sampler;
-pub use slice_trace::SliceTrace;
 pub use source::TraceSource;
 pub use stats::{DependenceHistogram, TraceStats};
 pub use vec_trace::VecTrace;

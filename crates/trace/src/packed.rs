@@ -182,12 +182,6 @@ impl From<&[Inst]> for PackedTrace {
     }
 }
 
-impl From<&crate::VecTrace> for PackedTrace {
-    fn from(trace: &crate::VecTrace) -> Self {
-        PackedTrace::from_insts(trace.insts())
-    }
-}
-
 impl FromIterator<Inst> for PackedTrace {
     fn from_iter<I: IntoIterator<Item = Inst>>(iter: I) -> Self {
         let mut t = PackedTrace::new();

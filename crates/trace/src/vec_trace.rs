@@ -71,16 +71,6 @@ impl VecTrace {
         &self.insts
     }
 
-    /// A fresh borrowing replay cursor over the whole trace.
-    ///
-    /// Unlike replaying the trace itself (which advances its cursor
-    /// and requires [`reset`](VecTrace::reset) plus `&mut` access),
-    /// each `replay()` starts at the beginning, leaves the owned trace
-    /// untouched, and never clones the instruction buffer.
-    pub fn replay(&self) -> crate::SliceTrace<'_> {
-        crate::SliceTrace::new(&self.insts)
-    }
-
     /// Consumes the trace, returning the underlying instructions.
     pub fn into_inner(self) -> Vec<Inst> {
         self.insts

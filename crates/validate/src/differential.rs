@@ -262,6 +262,9 @@ fn run_case_with(
 ) -> Result<CaseResult, ModelError> {
     let _span = fosm_obs::span("validate_case");
     let (spec, n, seed) = (&case.bench, case.trace_len, case.seed);
+    // Five simulations, the fused profile and the statsim baseline all
+    // replay this one trace; the store frees it when the case ends.
+    let trace = store.trace(spec, n, seed);
 
     // Detailed-simulator references: the full machine and the four
     // idealization variants, all config-derived. The full machine runs
@@ -301,7 +304,6 @@ fn run_case_with(
 
     let statsim_cpi = statsim.then(|| {
         use fosm_statsim::{CollectorConfig, StatMachine, StatProfile, SynthesizedTrace};
-        let trace = store.trace(spec, n, seed);
         let insts = trace.decode();
         let stat_profile = StatProfile::from_trace(&insts, CollectorConfig::default());
         let mut synth = SynthesizedTrace::new(&stat_profile, seed);
@@ -472,6 +474,15 @@ pub fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fosm_core::profile::ProfileCollector;
+    use fosm_trace::PackedTrace;
+    use fosm_workloads::WorkloadGenerator;
+
+    /// An unmemoized recording of `n` instructions of `spec` at the
+    /// figure seed.
+    fn recorded(spec: &BenchmarkSpec, n: u64) -> PackedTrace {
+        PackedTrace::record(&mut WorkloadGenerator::new(spec, harness::SEED), n)
+    }
 
     #[test]
     fn component_names_round_trip() {
@@ -549,15 +560,15 @@ mod tests {
         // four diffed classes exclude the dTLB adder, which has no
         // traced event kind.
         let params = harness::params_of(&case.config);
-        let trace = harness::record_seeded(&case.bench, case.trace_len, case.seed);
-        let profile = harness::profile_with(
-            &params,
-            &case.config.hierarchy,
-            case.config.predictor,
-            &case.bench.name,
-            &trace,
-        )
-        .expect("profile collection succeeds");
+        let profile = ProfileCollector::new(&params)
+            .with_hierarchy(case.config.hierarchy)
+            .with_predictor(case.config.predictor)
+            .with_name(&case.bench.name)
+            .collect(
+                &mut recorded(&case.bench, case.trace_len).replay(),
+                u64::MAX,
+            )
+            .expect("profile collection succeeds");
         let est = harness::estimate(&params, &profile);
         let model_sum: f64 = result.event_diff.iter().map(|d| d.model_cpi).sum();
         let adders = est.total_cpi() - est.steady_state_cpi - est.dtlb_cpi;
@@ -593,8 +604,8 @@ mod tests {
             "fosm-validate-corpus-{}-gzip.fct",
             std::process::id()
         ));
-        let trace = harness::record_seeded(&case.bench, case.trace_len, case.seed);
-        fosm_trace::write_corpus(&path, &trace).expect("write corpus");
+        fosm_trace::write_corpus(&path, &recorded(&case.bench, case.trace_len))
+            .expect("write corpus");
 
         let store = ArtifactStore::new();
         let from_workload = run_case(&store, &case, &ToleranceSpec::gate()).expect("workload case");
@@ -625,8 +636,7 @@ mod tests {
                 "fosm-validate-sweep-{}-{i}.fct",
                 std::process::id()
             ));
-            let trace = harness::record_seeded(spec, 10_000, harness::SEED);
-            fosm_trace::write_corpus(&path, &trace).expect("write corpus");
+            fosm_trace::write_corpus(&path, &recorded(spec, 10_000)).expect("write corpus");
             paths.push(path);
         }
         let store = ArtifactStore::new();
