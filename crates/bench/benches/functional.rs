@@ -110,11 +110,10 @@ fn functional_toolchain(c: &mut Criterion) {
         })
     });
 
-    // Tracer overhead budget: with the global tracer disabled (the
-    // default here — benches never set FOSM_TRACE), the detailed
-    // simulator pays one relaxed atomic load per run, so this must
-    // track the pre-tracer baseline within the noop budget. The traced
-    // variant collects every miss event and bounds the enabled cost.
+    // Tracer overhead budget: `Machine::run` collects no miss events
+    // and reads no global, so this must track the pre-tracer baseline
+    // within the noop budget. The traced variant collects every miss
+    // event and bounds the enabled cost.
     group.bench_function("detailed-sim-tracer-off", |b| {
         let config = MachineConfig::baseline();
         b.iter(|| black_box(Machine::new(config.clone()).run(&mut trace.replay())))

@@ -43,7 +43,16 @@ fn main() {
         let mut generator =
             PhasedGenerator::new(&a, &b, phase_len, harness::SEED).expect("valid phases");
         let trace = PackedTrace::record(&mut generator, n);
-        let sim = Machine::new(config.clone()).run(&mut trace.replay());
+        // The phased trace has no store key, so this run publishes its
+        // own miss events.
+        let mut machine = Machine::new(config.clone());
+        let sim = if fosm_obs::trace_enabled() {
+            let (sim, events) = machine.run_traced(&mut trace.replay());
+            fosm_obs::publish_events(&events);
+            sim
+        } else {
+            machine.run(&mut trace.replay())
+        };
 
         // Whole-trace: one profile of the mixed stream.
         let mixed = ProfileCollector::new(&params)

@@ -44,7 +44,7 @@ pub fn run_args() -> RunArgs {
 
 /// Like [`run_args`], with a binary-specific default trace length.
 pub fn run_args_with_default(default_len: u64) -> RunArgs {
-    parse_args(
+    let mut args = parse_args(
         std::env::args().skip(1),
         std::env::var("FOSM_THREADS").ok(),
         default_len,
@@ -52,7 +52,11 @@ pub fn run_args_with_default(default_len: u64) -> RunArgs {
     .unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
-    })
+    });
+    args.trace = args
+        .trace
+        .or_else(|| std::env::var("FOSM_TRACE").ok().filter(|p| !p.is_empty()));
+    args
 }
 
 fn parse_args(
@@ -130,16 +134,18 @@ fn threads_from_env(raw: String) -> Option<usize> {
 }
 
 /// Opens the observability session for a figure binary: selects the
-/// sink (a `--metrics <path>` flag beats `FOSM_METRICS`), stamps the
-/// run configuration into the manifest metadata, and — when dropped at
-/// the end of `main` — flushes the artifact-store counters, records
-/// total wall-clock time, and emits the run manifest.
+/// sink (a `--metrics <path>` flag beats `FOSM_METRICS`), turns the
+/// miss-event sink on for a trace path (sized by `FOSM_TRACE_CAP`),
+/// stamps the run configuration into the manifest metadata, and — when
+/// dropped at the end of `main` — flushes the artifact-store counters,
+/// records total wall-clock time, and emits the run manifest.
 pub fn obs_session(binary: &'static str, args: &RunArgs) -> ObsSession {
     if let Some(path) = &args.metrics {
         fosm_obs::set_sink(fosm_obs::Sink::JsonFile(path.into()));
     }
     if let Some(path) = &args.trace {
-        fosm_obs::tracer().enable_to(Some(path.into()));
+        let capacity = fosm_obs::trace_capacity(std::env::var("FOSM_TRACE_CAP").ok().as_deref());
+        fosm_obs::enable_trace(path.into(), capacity);
     }
     fosm_obs::meta_set("binary", binary);
     fosm_obs::meta_set("seed", SEED);

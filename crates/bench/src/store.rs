@@ -193,8 +193,16 @@ impl StoreStats {
     }
 }
 
-/// A traced simulation artifact: the report plus its miss-event stream.
+/// A simulation's report plus its miss-event stream.
 type TracedRun = (SimReport, Vec<TraceEvent>);
+
+/// One memoized simulation: the report, shared alone for
+/// [`ArtifactStore::simulate`], and the run with its miss events, which
+/// are empty unless the entry keeps them.
+struct SimRun {
+    report: Arc<SimReport>,
+    traced: Arc<TracedRun>,
+}
 
 /// The memoizing artifact store. One global instance serves a whole
 /// process (see [`ArtifactStore::global`]); independent instances can
@@ -210,8 +218,8 @@ pub struct ArtifactStore {
     /// so the artifacts of one key computed one request at a time
     /// build it once.
     programs: Mutex<HashMap<String, Arc<SyntheticProgram>>>,
-    reports: Memo<SimKey, SimReport>,
-    traced: Memo<SimKey, TracedRun>,
+    /// Simulations, keyed by whether the entry keeps its miss events.
+    sims: Memo<(SimKey, bool), SimRun>,
     profiles: Memo<ProfileKey, ProgramProfile>,
     /// Optional persistence layer: profiles missing from the in-memory
     /// table are read through it before being recomputed, and written
@@ -297,16 +305,16 @@ impl ArtifactStore {
         seed: u64,
     ) -> Arc<SimReport> {
         let key = (trace_key(spec, n, seed), format!("{config:?}"));
-        let Ok(report) = self.memo_report(key, |collect| {
-            Ok::<_, Infallible>(self.run_keyed(config, spec, n, seed, collect))
+        let Ok(sim) = self.memo_sim(key, false, |keep| {
+            Ok::<_, Infallible>(self.run_keyed(config, spec, n, seed, keep))
         });
-        report
+        Arc::clone(&sim.report)
     }
 
     /// The detailed simulator's report *plus its miss-event stream*
-    /// for `(trace, config)`, memoized in its own table (keys never
-    /// collide with the untraced reports; the reports themselves are
-    /// identical — [`fosm_sim::Machine::run_traced`] is exact).
+    /// for `(trace, config)`. The report is identical to
+    /// [`simulate`](Self::simulate)'s ([`fosm_sim::Machine::run_traced`]
+    /// is exact).
     pub fn simulate_traced(
         &self,
         config: &MachineConfig,
@@ -315,36 +323,39 @@ impl ArtifactStore {
         seed: u64,
     ) -> Arc<TracedRun> {
         let key = (trace_key(spec, n, seed), format!("{config:?}"));
-        let Ok((run, _)) = self.traced.get_or_try(key, || {
-            Ok::<_, Infallible>(self.run_keyed(config, spec, n, seed, true))
+        let Ok(sim) = self.memo_sim(key, true, |keep| {
+            Ok::<_, Infallible>(self.run_keyed(config, spec, n, seed, keep))
         });
-        run
+        Arc::clone(&sim.traced)
     }
 
-    /// Memoizes one simulation report. `run(collect)` simulates, and
-    /// returns the run's miss events when `collect` is set. With the
-    /// global tracer on, events are collected locally and published
-    /// only by the call that wins the insert race — otherwise a
-    /// concurrent duplicate computation (discarded by the memo) would
-    /// double-record its events and the trace file would stop being
-    /// byte-equal across thread counts.
-    fn memo_report<E>(
+    /// Memoizes one simulation. `run(keep)` simulates, and returns the
+    /// run's miss events when `keep` is set. The entry keeps them when
+    /// the caller asks (`traced`) or the process's event sink is on;
+    /// the sink thus sends every lookup of `key` to one entry, and the
+    /// call that computes and inserts it publishes its events. A
+    /// concurrent duplicate computation, discarded by the memo,
+    /// publishes nothing, so the trace file is byte-equal at any
+    /// thread count.
+    fn memo_sim<E>(
         &self,
         key: SimKey,
+        traced: bool,
         run: impl FnOnce(bool) -> Result<TracedRun, E>,
-    ) -> Result<Arc<SimReport>, E> {
-        let tracer = fosm_obs::tracer();
-        let collect = tracer.enabled();
-        let mut events = Vec::new();
-        let (report, won) = self.reports.get_or_try(key, || {
-            let (report, collected) = run(collect)?;
-            events = collected;
-            Ok(report)
+    ) -> Result<Arc<SimRun>, E> {
+        let publish = fosm_obs::trace_enabled();
+        let keep = traced || publish;
+        let (sim, won) = self.sims.get_or_try((key, keep), || {
+            let (report, events) = run(keep)?;
+            Ok(SimRun {
+                report: Arc::new(report.clone()),
+                traced: Arc::new((report, events)),
+            })
         })?;
-        if won && collect {
-            tracer.record_batch(&mut events);
+        if won && publish {
+            fosm_obs::publish_events(&sim.traced.1);
         }
-        Ok(report)
+        Ok(sim)
     }
 
     /// One simulation of a workload key, by the store's input rule: a
@@ -356,11 +367,11 @@ impl ArtifactStore {
         spec: &BenchmarkSpec,
         n: u64,
         seed: u64,
-        collect: bool,
+        keep: bool,
     ) -> TracedRun {
         match self.held(&trace_key(spec, n, seed)) {
-            Some(trace) => run_machine(config, &mut trace.replay(), collect),
-            None => run_machine(config, &mut self.generator(spec, seed).take(n), collect),
+            Some(trace) => run_machine(config, &mut trace.replay(), keep),
+            None => run_machine(config, &mut self.generator(spec, seed).take(n), keep),
         }
     }
 
@@ -555,7 +566,7 @@ impl ArtifactStore {
     }
 
     /// The detailed simulator's report for `(corpus, config)`, memoized
-    /// in the same reports table as the workload path (corpus trace
+    /// in the same simulation table as the workload path (corpus trace
     /// keys are prefixed `corpus:` and embed the content digest, so the
     /// two key families can never collide). Errors are not memoized.
     ///
@@ -568,42 +579,42 @@ impl ArtifactStore {
         corpus: &CorpusFile,
     ) -> Result<Arc<SimReport>, ModelError> {
         let key = (corpus_trace_key(corpus), format!("{config:?}"));
-        self.memo_report(key, |collect| {
+        let sim = self.memo_sim(key, false, |keep| {
             let mut replay = corpus.replay();
-            let run = run_machine(config, &mut replay, collect);
+            let run = run_machine(config, &mut replay, keep);
             match replay.take_error() {
                 Some(e) => Err(corpus_error(corpus, &e)),
                 None => Ok(run),
             }
-        })
+        })?;
+        Ok(Arc::clone(&sim.report))
     }
 
     /// Current hit/miss counts.
     pub fn stats(&self) -> StoreStats {
         let [trace_hits, trace_misses, trace_inserts] = self.trace_traffic.load();
-        let [report_hits, report_misses, report_inserts] = self.reports.traffic.load();
-        let [traced_hits, traced_misses, traced_inserts] = self.traced.traffic.load();
+        let [sim_hits, sim_misses, sim_inserts] = self.sims.traffic.load();
         let [profile_hits, profile_misses, profile_inserts] = self.profiles.traffic.load();
         StoreStats {
             trace_hits,
             trace_misses,
-            sim_hits: report_hits + traced_hits,
-            sim_misses: report_misses + traced_misses,
+            sim_hits,
+            sim_misses,
             profile_hits,
             profile_misses,
             trace_inserts,
-            sim_inserts: report_inserts + traced_inserts,
+            sim_inserts,
             profile_inserts,
         }
     }
 }
 
-/// One detailed-simulator run over `source`. With `collect`, the run's
-/// miss events are returned instead of left to the global tracer.
-fn run_machine<S: TraceSource>(config: &MachineConfig, source: &mut S, collect: bool) -> TracedRun {
+/// One detailed-simulator run over `source`, with its miss events when
+/// `keep` is set.
+fn run_machine<S: TraceSource>(config: &MachineConfig, source: &mut S, keep: bool) -> TracedRun {
     let _span = fosm_obs::span("simulate");
     let mut machine = Machine::new(config.clone());
-    if collect {
+    if keep {
         machine.run_traced(source)
     } else {
         (machine.run(source), Vec::new())
@@ -769,7 +780,7 @@ mod tests {
         let traced = store.simulate_traced(&config, &spec, 3_000, harness::SEED);
         assert_eq!(*untraced, traced.0);
         assert!(!traced.1.is_empty(), "baseline gzip run produces events");
-        // Second lookup hits the traced table's own entry.
+        // Second lookup hits the entry that keeps the events.
         let again = store.simulate_traced(&config, &spec, 3_000, harness::SEED);
         assert!(Arc::ptr_eq(&traced, &again));
     }

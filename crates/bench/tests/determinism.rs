@@ -100,7 +100,11 @@ fn trace_files_are_thread_invariant() {
             text.starts_with("{\"traceEvents\":["),
             "{exe}: not a Chrome trace"
         );
-        assert!(text.contains("\"ph\":\"X\""), "{exe}: no complete events");
+        let events = text.matches("\"ph\":\"X\"").count();
+        assert!(
+            events > 0 && text.contains(&format!("\"events\":\"{events}\",\"dropped\":\"0\"")),
+            "{exe}: {events} complete events, a miscount or dropped events"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -37,11 +37,6 @@ impl AccessOutcome {
         self == AccessOutcome::L1
     }
 
-    /// `true` if the access was a short (L2-hit) miss.
-    pub fn is_l2_hit(self) -> bool {
-        self == AccessOutcome::L2
-    }
-
     /// `true` if the access went all the way to memory (a long miss).
     pub fn is_memory(self) -> bool {
         self == AccessOutcome::Memory

@@ -295,7 +295,15 @@ pub fn simulate(args: Parsed) -> Result<(), String> {
     config.validate()?;
     let mut machine = Machine::try_new(config)?;
     let corpus = open_trace(path)?;
-    let report = with_replay(path, &corpus, |replay| machine.run(replay))?;
+    let report = with_replay(path, &corpus, |replay| {
+        if fosm_obs::trace_enabled() {
+            let (report, events) = machine.run_traced(replay);
+            fosm_obs::publish_events(&events);
+            report
+        } else {
+            machine.run(replay)
+        }
+    })?;
     println!(
         "simulated {} instructions in {} cycles",
         report.instructions, report.cycles

@@ -58,8 +58,10 @@ fn run(argv: &[String]) -> Result<(), String> {
     if let Some(path) = args.flag("metrics") {
         fosm_obs::set_sink(fosm_obs::Sink::JsonFile(path.into()));
     }
-    if let Some(path) = args.flag("trace") {
-        fosm_obs::tracer().enable_to(Some(path.into()));
+    let env_trace = || std::env::var("FOSM_TRACE").ok().filter(|p| !p.is_empty());
+    if let Some(path) = args.flag("trace").map(String::from).or_else(env_trace) {
+        let capacity = fosm_obs::trace_capacity(std::env::var("FOSM_TRACE_CAP").ok().as_deref());
+        fosm_obs::enable_trace(path.into(), capacity);
     }
     fosm_obs::meta_set("command", command);
     let _span = fosm_obs::span(&format!("cli.{command}"));

@@ -293,10 +293,9 @@ fn validate_replays_fuzz_reproducers() {
 
 #[test]
 fn trace_attributes_events_and_writes_chrome_json() {
-    let chrome = tmp("trace-chrome.json");
-    let out = fosm(&[
-        "trace", "gzip", "--insts", "30000", "--top", "5", "--chrome", &chrome,
-    ]);
+    let (chrome, trace) = (tmp("trace-chrome.json"), tmp("trace-flag.json"));
+    let run = ["trace", "gzip", "--insts", "30000", "--top", "5"];
+    let out = fosm(&[&run[..], &["--chrome", &chrome, "--trace", &trace]].concat());
     assert!(
         out.status.success(),
         "{}",
@@ -314,12 +313,73 @@ fn trace_attributes_events_and_writes_chrome_json() {
     assert!(json.starts_with("{\"traceEvents\":["), "{json}");
     assert!(json.contains("\"ph\":\"X\""));
     assert!(json.contains("\"predicted\""));
-    let _ = std::fs::remove_file(&chrome);
+
+    // `--trace` writes the run's events without the model's
+    // annotation, and `FOSM_TRACE` does what `--trace` does.
+    assert!(!miss_events(&trace).is_empty(), "--trace wrote no events");
+    assert_eq!(miss_events(&trace), miss_events(&chrome));
+    let env_trace = tmp("trace-env.json");
+    let status = Command::new(env!("CARGO_BIN_EXE_fosm"))
+        .args(run)
+        .env("FOSM_TRACE", &env_trace)
+        .status()
+        .expect("binary runs");
+    assert!(status.success());
+    assert_eq!(std::fs::read(&env_trace).ok(), std::fs::read(&trace).ok());
+    for path in [chrome, trace, env_trace] {
+        let _ = std::fs::remove_file(path);
+    }
 
     // Unknown benchmarks are rejected up front.
     let out = fosm(&["trace", "nonexistent"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown benchmark"));
+}
+
+/// The `(kind, inst, start, extent, delta)` of every miss event in a
+/// Chrome trace file, sorted. The model's `predicted` annotation is
+/// cut, so a `--trace` and a `--chrome` file of one run compare equal.
+fn miss_events(path: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("trace file written");
+    let mut events: Vec<String> = text
+        .lines()
+        .filter(|line| line.contains("\"ph\":\"X\""))
+        .map(|line| line.trim_end_matches(',').split(",\"predicted\"").next())
+        .map(|event| event.unwrap().trim_end_matches('}').to_string())
+        .collect();
+    events.sort();
+    events
+}
+
+#[test]
+fn validate_trace_holds_the_full_machine_run_at_any_thread_count() {
+    let full = tmp("validate-full.json");
+    assert!(
+        fosm(&["trace", "gzip", "--insts", "8000", "--chrome", &full])
+            .status
+            .success()
+    );
+    let traced = |threads: &str| {
+        let path = tmp(&format!("validate-threads{threads}.json"));
+        let case = ["--bench", "gzip", "--insts", "8000", "--threads", threads];
+        let out = fosm(&[&["validate", "--trace", &path][..], &case].concat());
+        assert!(out.status.success(), "{out:?}");
+        path
+    };
+    let (serial, parallel) = (traced("1"), traced("8"));
+    assert_eq!(std::fs::read(&serial).ok(), std::fs::read(&parallel).ok());
+
+    // The file holds the full machine's events beside the four
+    // idealized variants' own.
+    let (mut events, full_events) = (miss_events(&serial), miss_events(&full));
+    assert!(events.len() > full_events.len());
+    for event in &full_events {
+        let at = events.binary_search(event);
+        events.remove(at.unwrap_or_else(|_| panic!("missing {event}")));
+    }
+    for path in [full, serial, parallel] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

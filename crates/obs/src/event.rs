@@ -16,33 +16,40 @@
 //!
 //! Tracing is **off by default** and must stay invisible when off:
 //!
-//! * The simulator checks [`Tracer::enabled`] — one relaxed atomic
-//!   load — *once per run*, not per instruction or per event. When
-//!   disabled it never allocates an event buffer.
-//! * When enabled, events accumulate in a run-local `Vec` owned by the
-//!   machine loop (no locking per event; miss events are rare by
-//!   construction) and are flushed into the global ring in one
-//!   [`Tracer::record_batch`] call at the end of the run.
+//! * The simulator reads no global. `Machine::run` never collects
+//!   events; `Machine::run_traced` returns them to its caller.
+//! * The artifact store asks [`trace_enabled`] — one relaxed atomic
+//!   load — once per computed simulation. It keeps a run's events only
+//!   when the sink is on or its caller asked for them, and the call
+//!   that computes and inserts a simulation hands them to
+//!   [`publish_events`] once, in one locked batch (miss events are
+//!   rare by construction).
+//! * The sink's buffer is a `Vec` in a plain `static`: nothing is
+//!   allocated before the first publish.
 //!
 //! # Bounding and drop accounting
 //!
-//! The global buffer is bounded ([`Tracer::set_capacity`], default
-//! [`DEFAULT_CAPACITY`]). Once full, further events are *dropped, not
-//! wrapped*: for interval attribution the oldest events are the ones
-//! that anchor the timeline, and a truncated-tail trace with an honest
-//! drop counter beats a silently rotated one. Drops are counted in
-//! [`TracerStats::dropped`] and reported by every exporter.
+//! The sink is bounded (the capacity given to [`enable_trace`],
+//! default [`DEFAULT_CAPACITY`]). Once full, further events are
+//! *dropped, not wrapped*: for interval attribution the oldest events
+//! are the ones that anchor the timeline, and a truncated-tail trace
+//! with an honest drop counter beats a silently rotated one. Drops are
+//! counted and reported by the exporter.
 //!
-//! Enabling: set `FOSM_TRACE=<path>` in the environment, or pass
-//! `--trace <path>` to a figure binary / `fosm trace` (which call
-//! [`Tracer::enable_to`]). `FOSM_TRACE_CAP=<n>` overrides the
-//! capacity.
+//! # Enabling
+//!
+//! Only the process boundary turns the sink on: `fosm` (its `--trace`
+//! flag, else `FOSM_TRACE`) and the figure binaries' observability
+//! session (the same, resolved with their other flags) call
+//! [`enable_trace`] with the path and the capacity that
+//! [`trace_capacity`] reads from `FOSM_TRACE_CAP`. [`flush_trace`]
+//! writes the file at exit.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-/// Default global event-buffer capacity. At roughly one miss event
+/// Default event-sink capacity. At roughly one miss event
 /// per 30 instructions on the paper benchmarks this holds the full
 /// event stream of a ~30M-instruction run; longer runs drop the tail
 /// and say so.
@@ -67,6 +74,22 @@ pub fn parse_trace_cap(raw: Option<&str>) -> Result<Option<usize>, String> {
         Ok(cap) => Ok(Some(cap)),
         Err(e) => Err(format!("`{raw}` is not a valid event count: {e}")),
     }
+}
+
+/// The sink's capacity from a `FOSM_TRACE_CAP` value: the parsed
+/// count, or [`DEFAULT_CAPACITY`] when unset. A malformed value is
+/// reported on stderr and falls back to the default rather than
+/// silently mis-sizing (or, for `0`, emptying) the trace.
+pub fn trace_capacity(raw: Option<&str>) -> usize {
+    parse_trace_cap(raw)
+        .unwrap_or_else(|why| {
+            eprintln!(
+                "warning: ignoring FOSM_TRACE_CAP ({why}); \
+                 using the default capacity of {DEFAULT_CAPACITY} events"
+            );
+            None
+        })
+        .unwrap_or(DEFAULT_CAPACITY)
 }
 
 /// The classes of miss event the simulator distinguishes, mirroring
@@ -173,193 +196,114 @@ impl TraceEvent {
     }
 }
 
-/// Aggregate tracer accounting, surfaced in exports and the run
-/// manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TracerStats {
-    /// Events accepted into the buffer since the last [`Tracer::take`].
-    pub recorded: u64,
-    /// Events rejected because the buffer was full.
-    pub dropped: u64,
-    /// Current buffer capacity.
-    pub capacity: usize,
+/// The process's event sink: off until [`enable_trace`].
+static SINK: Tracer = Tracer::new();
+
+/// Turns the process's event sink on: published events are buffered,
+/// up to `capacity`, and [`flush_trace`] writes them to `path`.
+pub fn enable_trace(path: PathBuf, capacity: usize) {
+    SINK.enable(path, capacity);
+}
+
+/// Whether the process's event sink is on. One relaxed atomic load.
+#[inline]
+pub fn trace_enabled() -> bool {
+    SINK.enabled()
+}
+
+/// Copies one simulation's events into the process's event sink; does
+/// nothing while the sink is off.
+pub fn publish_events(events: &[TraceEvent]) {
+    SINK.record_batch(events);
+}
+
+/// Drains the process's event sink into a Chrome trace-event JSON file
+/// at the path it was enabled with, and adds `trace.events` /
+/// `trace.dropped` to the global registry so the run manifest accounts
+/// for the trace. Does nothing while the sink is off; a write failure
+/// is reported on stderr, never panicked on. Call once, at the end of
+/// `main`.
+pub fn flush_trace() {
+    let Some(path) = SINK.path() else {
+        return;
+    };
+    let (events, dropped) = SINK.take();
+    crate::counter_add("trace.events", events.len() as u64);
+    crate::counter_add("trace.dropped", dropped);
+    let json = crate::chrome::export(&events, dropped);
+    if let Err(e) = std::fs::write(&path, json) {
+        eprintln!(
+            "warning: cannot write miss-event trace {}: {e}",
+            path.display()
+        );
+    }
+}
+
+/// A bounded event buffer: the process's sink, or a unit test's own.
+#[derive(Debug)]
+struct Tracer {
+    enabled: AtomicBool,
+    inner: Mutex<Inner>,
 }
 
 #[derive(Debug)]
 struct Inner {
     events: Vec<TraceEvent>,
     capacity: usize,
-    recorded: u64,
     dropped: u64,
     path: Option<PathBuf>,
 }
 
-/// The bounded event buffer. One global instance ([`Tracer::global`])
-/// serves the whole process; tests construct their own with
-/// [`Tracer::new`].
-#[derive(Debug)]
-pub struct Tracer {
-    enabled: AtomicBool,
-    inner: Mutex<Inner>,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::new()
-    }
-}
-
 impl Tracer {
-    /// A fresh, disabled tracer with the default capacity.
-    pub fn new() -> Self {
+    /// A disabled, empty tracer; allocates nothing.
+    const fn new() -> Self {
         Tracer {
             enabled: AtomicBool::new(false),
             inner: Mutex::new(Inner {
                 events: Vec::new(),
                 capacity: DEFAULT_CAPACITY,
-                recorded: 0,
                 dropped: 0,
                 path: None,
             }),
         }
     }
 
-    /// The process-wide tracer. First use reads `FOSM_TRACE` (export
-    /// path; enables tracing) and `FOSM_TRACE_CAP` (capacity). A
-    /// malformed capacity — zero, non-numeric, overflowing — is
-    /// reported on stderr and falls back to [`DEFAULT_CAPACITY`]
-    /// rather than being silently ignored (or, for `0`, silently
-    /// dropping every event).
-    pub fn global() -> &'static Tracer {
-        static TRACER: OnceLock<Tracer> = OnceLock::new();
-        TRACER.get_or_init(|| {
-            let t = Tracer::new();
-            match parse_trace_cap(std::env::var("FOSM_TRACE_CAP").ok().as_deref()) {
-                Ok(Some(cap)) => t.set_capacity(cap),
-                Ok(None) => {}
-                Err(why) => {
-                    eprintln!(
-                        "warning: ignoring FOSM_TRACE_CAP ({why}); \
-                         using the default capacity of {DEFAULT_CAPACITY} events"
-                    );
-                }
-            }
-            if let Ok(path) = std::env::var("FOSM_TRACE") {
-                if !path.is_empty() {
-                    t.enable_to(Some(PathBuf::from(path)));
-                }
-            }
-            t
-        })
-    }
-
-    /// Whether tracing is on. One relaxed atomic load; the simulator
-    /// checks this once per run.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables tracing, optionally bound to an export path (written by
-    /// [`flush_to_path`](Tracer::flush_to_path) at session end).
-    pub fn enable_to(&self, path: Option<PathBuf>) {
-        {
-            let mut inner = self.inner.lock().expect("tracer lock");
-            if path.is_some() {
-                inner.path = path;
-            }
-        }
+    fn enable(&self, path: PathBuf, capacity: usize) {
+        let mut inner = self.inner.lock().expect("tracer lock");
+        inner.path = Some(path);
+        inner.capacity = capacity;
         self.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Disables tracing (buffered events are kept until taken).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
+    fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
     }
 
-    /// The export path bound by [`enable_to`](Tracer::enable_to), if any.
-    pub fn path(&self) -> Option<PathBuf> {
+    /// The export path; set exactly when enabled.
+    fn path(&self) -> Option<PathBuf> {
         self.inner.lock().expect("tracer lock").path.clone()
     }
 
-    /// Rebounds the buffer. Shrinking below the current fill drops the
-    /// tail (counted as dropped).
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.inner.lock().expect("tracer lock");
-        inner.capacity = capacity;
-        if inner.events.len() > capacity {
-            let excess = (inner.events.len() - capacity) as u64;
-            inner.events.truncate(capacity);
-            inner.recorded -= excess;
-            inner.dropped += excess;
+    /// Copies `batch` into the buffer while enabled. Events past
+    /// capacity are dropped and counted.
+    fn record_batch(&self, batch: &[TraceEvent]) {
+        if !self.enabled() {
+            return;
         }
-    }
-
-    /// Moves a run-local batch into the buffer, draining `batch`.
-    /// Events past capacity are dropped and counted.
-    pub fn record_batch(&self, batch: &mut Vec<TraceEvent>) {
         let mut inner = self.inner.lock().expect("tracer lock");
-        let room = inner.capacity.saturating_sub(inner.events.len());
-        let take = batch.len().min(room);
-        inner.recorded += take as u64;
+        let take = batch
+            .len()
+            .min(inner.capacity.saturating_sub(inner.events.len()));
         inner.dropped += (batch.len() - take) as u64;
-        inner.events.extend(batch.drain(..take));
-        batch.clear();
+        inner.events.extend_from_slice(&batch[..take]);
     }
 
-    /// Records a single event (convenience for tests and consumers).
-    pub fn record(&self, event: TraceEvent) {
+    /// Drains the buffer: its events, and the number dropped since the
+    /// last drain.
+    fn take(&self) -> (Vec<TraceEvent>, u64) {
         let mut inner = self.inner.lock().expect("tracer lock");
-        if inner.events.len() < inner.capacity {
-            inner.events.push(event);
-            inner.recorded += 1;
-        } else {
-            inner.dropped += 1;
-        }
-    }
-
-    /// Current accounting without draining.
-    pub fn stats(&self) -> TracerStats {
-        let inner = self.inner.lock().expect("tracer lock");
-        TracerStats {
-            recorded: inner.recorded,
-            dropped: inner.dropped,
-            capacity: inner.capacity,
-        }
-    }
-
-    /// A copy of the buffered events, in recorded order.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.inner.lock().expect("tracer lock").events.clone()
-    }
-
-    /// Drains the buffer, returning the events and the accounting for
-    /// the drained window, and resets both counters.
-    pub fn take(&self) -> (Vec<TraceEvent>, TracerStats) {
-        let mut inner = self.inner.lock().expect("tracer lock");
-        let stats = TracerStats {
-            recorded: inner.recorded,
-            dropped: inner.dropped,
-            capacity: inner.capacity,
-        };
-        inner.recorded = 0;
-        inner.dropped = 0;
-        (std::mem::take(&mut inner.events), stats)
-    }
-
-    /// Drains the buffer and writes a Chrome trace-event JSON file to
-    /// `path`. Counters `trace.events` / `trace.dropped` land in the
-    /// global registry so the run manifest accounts for the trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error when `path` is unwritable.
-    pub fn flush_to_path(&self, path: &Path) -> std::io::Result<()> {
-        let (events, stats) = self.take();
-        crate::counter_add("trace.events", events.len() as u64);
-        crate::counter_add("trace.dropped", stats.dropped);
-        let json = crate::chrome::export(&events, stats.dropped);
-        std::fs::write(path, json)
+        let dropped = std::mem::take(&mut inner.dropped);
+        (std::mem::take(&mut inner.events), dropped)
     }
 }
 
@@ -401,17 +345,19 @@ mod tests {
     }
 
     #[test]
+    fn trace_capacity_falls_back_to_the_default() {
+        assert_eq!(trace_capacity(None), DEFAULT_CAPACITY);
+        assert_eq!(trace_capacity(Some("0")), DEFAULT_CAPACITY);
+        assert_eq!(trace_capacity(Some("4096")), 4096);
+    }
+
+    #[test]
     fn disabled_by_default_and_extent_saturates() {
         let t = Tracer::new();
         assert!(!t.enabled());
-        assert_eq!(
-            t.stats(),
-            TracerStats {
-                recorded: 0,
-                dropped: 0,
-                capacity: DEFAULT_CAPACITY
-            }
-        );
+        t.record_batch(&[ev(1)]);
+        assert_eq!(t.take(), (Vec::new(), 0));
+        assert_eq!(t.path(), None);
         let e = TraceEvent::new(EventKind::ICacheMiss, 1, 9, 3, 0);
         assert_eq!(e.extent(), 0);
         assert!(e.predicted.is_nan());
@@ -421,54 +367,18 @@ mod tests {
     #[test]
     fn batch_respects_capacity_with_drop_accounting() {
         let t = Tracer::new();
-        t.set_capacity(3);
-        let mut batch: Vec<TraceEvent> = (0..5).map(ev).collect();
-        t.record_batch(&mut batch);
-        assert!(batch.is_empty());
-        let stats = t.stats();
-        assert_eq!(stats.recorded, 3);
-        assert_eq!(stats.dropped, 2);
-        let (events, taken) = t.take();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].inst, 0);
-        assert_eq!(taken.dropped, 2);
+        t.enable(PathBuf::from("a.json"), 3);
+        assert_eq!(t.path(), Some(PathBuf::from("a.json")));
+        let batch: Vec<TraceEvent> = (0..5).map(ev).collect();
+        t.record_batch(&batch);
+        let insts = |(events, dropped): (Vec<TraceEvent>, u64)| {
+            (events.iter().map(|e| e.inst).collect::<Vec<_>>(), dropped)
+        };
+        assert_eq!(insts(t.take()), (vec![0, 1, 2], 2));
         // Drained: counters reset, buffer reusable.
-        assert_eq!(
-            t.stats(),
-            TracerStats {
-                recorded: 0,
-                dropped: 0,
-                capacity: 3
-            }
-        );
-    }
-
-    #[test]
-    fn single_record_and_shrink() {
-        let t = Tracer::new();
-        for i in 0..4 {
-            t.record(ev(i));
-        }
-        assert_eq!(t.snapshot().len(), 4);
-        t.set_capacity(2);
-        let stats = t.stats();
-        assert_eq!(stats.recorded, 2);
-        assert_eq!(stats.dropped, 2);
-        assert_eq!(t.snapshot().len(), 2);
-        t.record(ev(9));
-        assert_eq!(t.stats().dropped, 3);
-    }
-
-    #[test]
-    fn enable_binds_path_once() {
-        let t = Tracer::new();
-        t.enable_to(Some(PathBuf::from("/tmp/a.json")));
-        assert!(t.enabled());
-        // Enabling again without a path keeps the old one.
-        t.enable_to(None);
-        assert_eq!(t.path(), Some(PathBuf::from("/tmp/a.json")));
-        t.disable();
-        assert!(!t.enabled());
+        assert_eq!(insts(t.take()), (vec![], 0));
+        t.record_batch(&batch[..1]);
+        assert_eq!(insts(t.take()), (vec![0], 0));
     }
 
     #[test]

@@ -45,12 +45,14 @@
 //! at any thread count and under any sink.
 //!
 //! Beyond the aggregate registry, the [`event`] module adds *typed
-//! miss-event tracing* — a bounded buffer of per-event records
-//! (mispredicts, I-misses, long D-misses, interval boundaries) the
-//! detailed simulator fills when `FOSM_TRACE`/`--trace` is set, and
-//! [`chrome`] exports as Perfetto-loadable Chrome trace-event JSON.
-//! Like the sinks, tracing is strictly opt-in: disabled, it costs one
-//! atomic load per simulator run.
+//! miss-event tracing* — one bounded per-process sink of per-event
+//! records (mispredicts, I-misses, long D-misses, interval boundaries)
+//! that [`chrome`] exports as Perfetto-loadable Chrome trace-event
+//! JSON. The detailed simulator reads no global: it returns a run's
+//! events to its caller, and the artifact store publishes each
+//! simulation's events once. Only a binary's entry point, given
+//! `--trace` or `FOSM_TRACE`, turns the sink on; off, it costs one
+//! atomic load per computed simulation.
 //!
 //! # Examples
 //!
@@ -82,7 +84,8 @@ mod scope;
 mod sink;
 mod span;
 
-pub use event::{EventKind, TraceEvent, Tracer, TracerStats};
+pub use event::{enable_trace, flush_trace, publish_events, trace_capacity, trace_enabled};
+pub use event::{EventKind, TraceEvent};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use manifest::Manifest;
 pub use registry::{Registry, Snapshot, SpanStat};
@@ -153,14 +156,6 @@ pub fn adopt_span_parent(parent: &str) -> AdoptGuard {
     span::adopt(parent)
 }
 
-/// The process-wide miss-event tracer (disabled unless `FOSM_TRACE`
-/// is set or [`Tracer::enable_to`] was called). The simulator checks
-/// `tracer().enabled()` once per run and flushes its run-local event
-/// batch here.
-pub fn tracer() -> &'static Tracer {
-    Tracer::global()
-}
-
 /// Emits the global registry as a run manifest through the
 /// process-wide sink. Call once, at the end of `main`.
 ///
@@ -175,22 +170,5 @@ pub fn emit(binary: &str) {
     let manifest = Manifest::new(binary, Registry::global().snapshot());
     if let Err(e) = sink.emit(&manifest) {
         eprintln!("fosm-obs: could not emit metrics: {e}");
-    }
-}
-
-/// Writes the global miss-event tracer to the path it was enabled
-/// with (`FOSM_TRACE` / `--trace`). Does nothing when tracing is off
-/// or no path is bound; a write failure is reported on stderr, never
-/// panicked on. Call once, at the end of `main`.
-pub fn flush_trace() {
-    let tracer = tracer();
-    let Some(path) = tracer.path().filter(|_| tracer.enabled()) else {
-        return;
-    };
-    if let Err(e) = tracer.flush_to_path(&path) {
-        eprintln!(
-            "warning: cannot write miss-event trace {}: {e}",
-            path.display()
-        );
     }
 }

@@ -266,31 +266,19 @@ impl Machine {
     }
 
     /// Runs the machine over `trace` until the trace is exhausted and
-    /// the pipeline drains, returning the report.
-    ///
-    /// When the global miss-event tracer is enabled (`FOSM_TRACE` /
-    /// `--trace`), the run's events are flushed into it in one batch
-    /// at the end; disabled (the default), the only tracing cost is a
-    /// single atomic load per run.
+    /// the pipeline drains, returning the report. Collects no miss
+    /// events; [`run_traced`](Machine::run_traced) returns them.
     ///
     /// Bound unbounded sources with [`TraceSource::take`] before
     /// passing them in.
     pub fn run<S: TraceSource>(&mut self, trace: &mut S) -> SimReport {
         let _run_span = fosm_obs::span("sim.run");
-        let tracer = fosm_obs::tracer();
-        if tracer.enabled() {
-            let mut events = Vec::new();
-            let report = self.run_impl(trace, Some(&mut events));
-            tracer.record_batch(&mut events);
-            report
-        } else {
-            self.run_impl(trace, None)
-        }
+        self.run_impl(trace, None)
     }
 
-    /// Like [`run`](Machine::run), but always collects this run's
-    /// miss events and returns them to the caller instead of the
-    /// global tracer. The report is identical to the untraced run's.
+    /// Like [`run`](Machine::run), but also collects this run's miss
+    /// events and returns them to the caller. The report is identical
+    /// to the untraced run's.
     pub fn run_traced<S: TraceSource>(&mut self, trace: &mut S) -> (SimReport, Vec<TraceEvent>) {
         let _run_span = fosm_obs::span("sim.run");
         let mut events = Vec::new();

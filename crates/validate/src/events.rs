@@ -103,15 +103,6 @@ impl EventClassDiff {
             100.0 * self.cpi_error() / self.sim_cpi
         }
     }
-
-    /// Isolated + overlapped histograms, bucket-wise.
-    pub fn histogram_total(&self) -> Vec<u64> {
-        self.histogram
-            .iter()
-            .zip(&self.histogram_overlapped)
-            .map(|(a, b)| a + b)
-            .collect()
-    }
 }
 
 /// The histogram bucket for a relative error `r`.

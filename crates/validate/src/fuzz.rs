@@ -209,13 +209,6 @@ pub enum FuzzOutcome {
     Failed(FuzzFailure),
 }
 
-impl FuzzOutcome {
-    /// Whether the run found no violation.
-    pub fn is_clean(&self) -> bool {
-        matches!(self, FuzzOutcome::Clean { .. })
-    }
-}
-
 /// Checks every fuzz invariant on one case.
 ///
 /// Invariants, in check order:

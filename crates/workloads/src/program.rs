@@ -287,11 +287,6 @@ impl SyntheticProgram {
     pub fn code_bytes(&self) -> u64 {
         self.code_bytes
     }
-
-    /// Total static instruction slots (bodies + terminators).
-    pub fn static_insts(&self) -> u64 {
-        self.code_bytes / INST_BYTES
-    }
 }
 
 /// Draws from a geometric distribution with the given mean (min 1).
