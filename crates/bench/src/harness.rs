@@ -19,6 +19,7 @@ pub struct RunArgs {
     pub trace_len: u64,
     /// Worker threads for parallel sections (`--threads N`, then the
     /// `FOSM_THREADS` environment variable, then all available cores).
+    /// Each fused profile pass runs one helper thread beyond these.
     pub threads: usize,
     /// Run-manifest destination (`--metrics <path>`); beats the
     /// `FOSM_METRICS` environment variable when present.

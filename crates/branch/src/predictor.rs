@@ -11,8 +11,9 @@
 /// resolution (e.g. the detailed simulator's fetch stage).
 ///
 /// The trait is object-safe; heterogeneous predictor studies can use
-/// `Box<dyn Predictor>`.
-pub trait Predictor {
+/// `Box<dyn Predictor>`. Predictors are `Send`, so a profiler can step
+/// them on a thread other than the one that built them.
+pub trait Predictor: Send {
     /// Predicts the direction of the branch at `pc` (`true` = taken)
     /// without updating any state.
     fn predict(&self, pc: u64) -> bool;

@@ -124,7 +124,11 @@ const GRID: Group = Group { title: "grid axes", flags: &[
 
 const INSTS: Flag = value("insts", "N", "trace length per workload (120000)");
 const SEED: Flag = value("seed", "S", "workload generator seed (42)");
-const THREADS: Flag = value("threads", "N", "worker threads (all cores)");
+const THREADS: Flag = value(
+    "threads",
+    "N",
+    "worker threads (all cores); each fused profile pass adds one helper",
+);
 const PREFETCH: Flag = value("prefetch", "N", "next-line data prefetch lines (0)");
 const TLB: Flag = value("tlb", "N", "data TLB with N entries (none)");
 const PROBE: Flag = value("probe", "NAME", "full|ideal|branch|icache|dcache (full)");

@@ -58,6 +58,7 @@ pub mod events;
 pub mod icache;
 pub mod model;
 pub mod params;
+mod pipeline;
 pub mod profile;
 pub mod transient;
 

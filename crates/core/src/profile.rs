@@ -8,16 +8,17 @@
 //! one pass over a trace, producing the [`ProgramProfile`] the model
 //! consumes. No cycle-level machinery is involved.
 
-use fosm_branch::{MispredictStats, Predictor, PredictorConfig};
+use fosm_branch::{MispredictStats, PredictorConfig};
 use fosm_cache::{
     AccessKind, AccessOutcome, BurstDistribution, CacheConfig, FirstLevel, HierarchyConfig,
     LongMissRecorder, SecondLevel, Tlb, TlbConfig,
 };
-use fosm_depgraph::{IwAnalysis, IwCharacteristic, IwSweep};
+use fosm_depgraph::{IwAnalysis, IwCharacteristic, IwResolver, IwSweep};
 use fosm_isa::{FuClass, Inst, Op, NUM_REGS};
 use fosm_trace::TraceSource;
 use serde::{Deserialize, Serialize};
 
+use crate::pipeline::{self, BranchRecord, Chunk, StageA, StageB};
 use crate::{ModelError, ProcessorParams};
 
 /// A systematic sampling plan with functional warm-up (SimPoint-style
@@ -182,6 +183,11 @@ pub struct ProfileCollector {
 }
 
 impl ProfileCollector {
+    /// Touched instructions per chunk that a pass hands from its
+    /// caches to the IW sweep and the branch predictors, which run on
+    /// one helper thread (DESIGN.md, "Fused multi-probe profiling").
+    pub const CHUNK: usize = pipeline::CHUNK;
+
     /// Creates a collector for the given processor parameters, with the
     /// paper's baseline cache hierarchy and 8K gshare predictor.
     pub fn new(params: &ProcessorParams) -> Self {
@@ -284,6 +290,13 @@ impl ProfileCollector {
     /// probe against fresh replays of the same trace — fusion changes
     /// the cost, not the answer.
     ///
+    /// A trace longer than [`CHUNK`](Self::CHUNK) instructions runs the
+    /// IW window states and the predictors on one helper thread beside
+    /// the caches, which stay on the calling thread with the trace;
+    /// each sees the stream in program order, so the profiles are the
+    /// same. A panic on either thread reaches the caller with its
+    /// payload.
+    ///
     /// An empty bank returns no profiles without consuming the trace.
     ///
     /// # Errors
@@ -337,38 +350,50 @@ impl ProfileCollector {
             fosm_obs::counter_add("profile.fused_passes_saved", states.len() as u64 - 1);
         }
 
-        // Stream the trace once: every shared structure sees every
-        // touched instruction once and the probes read its outcome; the
-        // IW sweep and mix see only counted ones.
-        let mut sweep = IwSweep::paper_default();
-        let mut fu_mix = [0u64; 5];
-        let mut counted: u64 = 0;
-        let mut position: u64 = 0;
-        while counted < max_counted {
-            let Some(inst) = trace.next_inst() else { break };
-            let in_period = position % plan.period;
-            position += 1;
-            let skip_len = plan.period.saturating_sub(plan.warmup + plan.sample);
-            if in_period < skip_len {
-                continue; // fast-forward
-            }
-            let counting = in_period >= skip_len + plan.warmup;
-            shared.observe(&inst, counting, counted);
-            for state in states.iter_mut().filter(|s| s.real_l1i || s.real_l1d) {
-                state.observe(&inst, &shared, counting, counted);
-            }
-            if counting {
-                fu_mix[inst.op.fu_class().index()] += 1;
-                sweep.push(&inst);
-                counted += 1;
-            }
-        }
+        // Stream the trace once, in two stages (see `pipeline`): every
+        // shared structure sees every touched instruction once and the
+        // probes read its outcome; the IW sweep and mix see only counted
+        // ones.
+        let (resolver, windows) = IwSweep::paper_default().into_parts();
+        let predictors = shared
+            .predictors
+            .configs
+            .iter()
+            .map(|c| c.build())
+            .collect();
+        let mut pass = Pass {
+            trace,
+            skip_len: plan.period.saturating_sub(plan.warmup + plan.sample),
+            plan,
+            max_counted,
+            position: 0,
+            counted: 0,
+            shared: &mut shared,
+            states: &mut states,
+            resolver,
+            fu_mix: [0; 5],
+        };
+        let (stage_b, times) = pipeline::run(
+            &mut pass,
+            StageB {
+                windows,
+                predictors,
+            },
+        );
+        let Pass {
+            counted,
+            resolver,
+            fu_mix,
+            ..
+        } = pass;
+        fosm_obs::counter_add("profile.stage_a.wait_ns", times.a_wait.as_nanos() as u64);
+        fosm_obs::counter_add("profile.stage_b.busy_ns", times.b_busy.as_nanos() as u64);
         if counted == 0 {
             return Err(ModelError::EmptyTrace);
         }
-        let analysis = sweep.finish();
-        for run in &mut shared.predictors.runs {
-            run.stats.set_total_instructions(counted);
+        let analysis = IwSweep::from_parts(resolver, stage_b.windows).finish();
+        for stats in &mut shared.predictors.runs {
+            stats.set_total_instructions(counted);
         }
         states
             .into_iter()
@@ -377,6 +402,71 @@ impl ProfileCollector {
                 state.finish(&shared, &self.params, probe, &analysis, counted, fu_mix)
             })
             .collect()
+    }
+}
+
+/// Stage A of a fused pass: the trace, the sampling plan, the caches
+/// and TLBs, and the per-probe state.
+struct Pass<'a, S> {
+    trace: &'a mut S,
+    plan: SamplingPlan,
+    /// Instructions skipped at the start of each period.
+    skip_len: u64,
+    max_counted: u64,
+    /// Instructions read from the trace.
+    position: u64,
+    /// Instructions counted.
+    counted: u64,
+    shared: &'a mut Shared,
+    states: &'a mut [ProbeState],
+    resolver: IwResolver,
+    fu_mix: [u64; 5],
+}
+
+impl<S: TraceSource> StageA for Pass<'_, S> {
+    fn fill(&mut self, chunk: &mut Chunk) -> bool {
+        while !chunk.is_full() {
+            if self.counted == self.max_counted {
+                return false;
+            }
+            let Some(inst) = self.trace.next_inst() else {
+                return false;
+            };
+            let in_period = self.position % self.plan.period;
+            self.position += 1;
+            if in_period < self.skip_len {
+                continue; // fast-forward
+            }
+            chunk.touched += 1;
+            let counting = in_period >= self.skip_len + self.plan.warmup;
+            self.shared.observe(&inst, counting, self.counted);
+            for state in self.states.iter_mut().filter(|s| s.real_l1i || s.real_l1d) {
+                state.observe(&inst, self.shared, counting, self.counted);
+            }
+            if inst.op.is_cond_branch() {
+                let taken = inst.branch.expect("branches carry outcomes").taken;
+                let counted = counting.then_some(self.counted);
+                chunk
+                    .branches
+                    .push(BranchRecord::new(inst.pc, taken, counted));
+            }
+            if counting {
+                self.fu_mix[inst.op.fu_class().index()] += 1;
+                chunk.iw.push(self.resolver.resolve(&inst));
+                self.counted += 1;
+            }
+        }
+        true
+    }
+
+    fn fold(&mut self, chunk: &Chunk) {
+        for (stats, verdicts) in self.shared.predictors.runs.iter_mut().zip(chunk.verdicts()) {
+            for (branch, &correct) in chunk.branches.iter().zip(verdicts) {
+                if let Some(index) = branch.counted() {
+                    stats.record(correct, index);
+                }
+            }
+        }
     }
 }
 
@@ -524,13 +614,6 @@ impl L1Run {
     }
 }
 
-/// A branch predictor and the mispredictions it made on the counted
-/// stream.
-struct PredictorRun {
-    predictor: Box<dyn Predictor>,
-    stats: MispredictStats,
-}
-
 /// A data TLB and the counted loads it missed on.
 struct TlbRun {
     tlb: Tlb,
@@ -548,13 +631,16 @@ struct Shared {
     l1i: Distinct<Option<CacheConfig>, L1Run>,
     /// Keyed by the L1D and its prefetch depth (0 when the L1D is ideal).
     l1d: Distinct<(Option<CacheConfig>, u32), L1Run>,
-    predictors: Distinct<PredictorConfig, PredictorRun>,
+    /// The mispredictions of each predictor on the counted stream; the
+    /// predictors themselves run on stage B.
+    predictors: Distinct<PredictorConfig, MispredictStats>,
     dtlbs: Distinct<TlbConfig, TlbRun>,
 }
 
 impl Shared {
-    /// Streams one touched instruction through every shared structure;
-    /// records are kept only when `counting`. `counted_idx` is the
+    /// Streams one touched instruction through every shared cache and
+    /// TLB (the predictors run on stage B); records are kept only when
+    /// `counting`. `counted_idx` is the
     /// index the instruction will have in the counted stream.
     fn observe(&mut self, inst: &Inst, counting: bool, counted_idx: u64) {
         for run in &mut self.l1i.runs {
@@ -570,15 +656,6 @@ impl Shared {
             }
             for run in &mut self.l1d.runs {
                 run.hit = run.level.access(addr);
-            }
-        }
-        if inst.op.is_cond_branch() {
-            let taken = inst.branch.expect("branches carry outcomes").taken;
-            for run in &mut self.predictors.runs {
-                let correct = run.predictor.observe(inst.pc, taken);
-                if counting {
-                    run.stats.record(correct, counted_idx);
-                }
             }
         }
     }
@@ -613,12 +690,9 @@ impl ProbeState {
             l1d: shared
                 .l1d
                 .index((h.l1d, l1d_prefetch), |(c, p)| Ok(L1Run::new(*c, *p)))?,
-            predictor: shared.predictors.index(probe.predictor, |c| {
-                Ok(PredictorRun {
-                    predictor: c.build(),
-                    stats: MispredictStats::new(),
-                })
-            })?,
+            predictor: shared
+                .predictors
+                .index(probe.predictor, |_| Ok(MispredictStats::new()))?,
             dtlb: match probe.dtlb {
                 Some(cfg) => Some(shared.dtlbs.index(cfg, |c| {
                     let tlb = Tlb::new(*c)
@@ -703,7 +777,7 @@ impl ProbeState {
         counted: u64,
         fu_mix: [u64; 5],
     ) -> Result<ProgramProfile, ModelError> {
-        let bstats = &shared.predictors.runs[self.predictor].stats;
+        let bstats = &shared.predictors.runs[self.predictor];
         let dtlb = self.dtlb.map(|i| &shared.dtlbs.runs[i]);
 
         // One bulk flush of the functional structures' counters per

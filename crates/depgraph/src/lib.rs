@@ -45,4 +45,4 @@ pub use characteristic::IwCharacteristic;
 pub use error::FitError;
 pub use iw::IwPoint;
 pub use powerlaw::PowerLaw;
-pub use streaming::{IwAnalysis, IwSweep};
+pub use streaming::{IwAnalysis, IwResolver, IwSweep, IwWindows, ResolvedInst};

@@ -38,8 +38,11 @@
 //!
 //! That is `O(window sizes × (registers + live cycle span))` state,
 //! plus one fixed chunk of resolved instructions that the window states
-//! run over in turn (see [`IwSweep::push`]). The slice entry points [`iw::characteristic`] and
-//! [`iw::ipc_at_window`] push through the same kernel;
+//! run over in turn (see [`IwSweep::push`]). The resolving and the
+//! window states are separate stages ([`IwResolver`], [`IwWindows`]),
+//! so a caller may run them on two threads. The slice entry points
+//! [`iw::characteristic`] and [`iw::ipc_at_window`] push through the
+//! same kernel;
 //! `tests/streaming_property.rs` pins it bit-identical to the
 //! cycle-stepped oracle.
 
@@ -57,12 +60,20 @@ const NO_PRODUCER: usize = NUM_REGS;
 const NO_DEST: usize = NUM_REGS + 1;
 
 /// One instruction resolved for the window states: its two source
-/// slots, its destination slot (all `< NUM_REGS + 2`, so they fit a
-/// byte) and its result latency.
-type Resolved = (u8, u8, u8, u32);
+/// slots and its destination slot in `reg_finish` (all `< NUM_REGS +
+/// 2`, so they fit a byte) and its op class, whose latency the window
+/// states look up. Four bytes, so a fused profiler can hand a chunk of
+/// them to another thread cheaply (see [`IwSweep::into_parts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResolvedInst {
+    r0: u8,
+    r1: u8,
+    dest: u8,
+    op: u8,
+}
 
-/// Instructions resolved and buffered before every window state runs
-/// over them.
+/// Instructions resolved and buffered by [`IwSweep::push`] before every
+/// window state runs over them.
 const CHUNK: usize = 256;
 
 /// Per-window-size streaming state of the issue recurrence: `s` and
@@ -110,11 +121,11 @@ impl WindowState {
     /// `s + 1`). Every new issue cycle is at least `s + 1`, so `s`
     /// never moves backwards and the advance loop costs `O(total
     /// cycles)` across the whole sweep.
-    fn run(&mut self, ops: &[Resolved]) {
+    fn run(&mut self, ops: &[ResolvedInst], latency: &[u32; NUM_OP_CLASSES]) {
         let w = self.w;
         // The loop-carried scalars live in locals for the whole run.
         let (mut s, mut cnt_gt, mut max_issue) = (self.s, self.cnt_gt, self.max_issue);
-        for &(r0, r1, dest, lat) in ops {
+        for &ResolvedInst { r0, r1, dest, op } in ops {
             let t = (s + 1)
                 .max(self.reg_finish[r0 as usize])
                 .max(self.reg_finish[r1 as usize]);
@@ -135,7 +146,7 @@ impl WindowState {
                 self.hist[slot] = 0;
             }
             max_issue = max_issue.max(t);
-            self.reg_finish[dest as usize] = t + lat as u64;
+            self.reg_finish[dest as usize] = t + latency[op as usize] as u64;
         }
         self.s = s;
         self.cnt_gt = cnt_gt;
@@ -167,6 +178,13 @@ impl WindowState {
 /// extractor has no caches or predictors), so a fused multi-probe
 /// profiler runs exactly one of these.
 ///
+/// A sweep is two stages: an [`IwResolver`] that turns each instruction
+/// into a [`ResolvedInst`] and counts the op-class mix, and the
+/// [`IwWindows`] that run the recurrence over resolved instructions.
+/// [`push`](IwSweep::push) drives both on one thread;
+/// [`into_parts`](IwSweep::into_parts) hands them out so they can run
+/// on two.
+///
 /// # Examples
 ///
 /// ```
@@ -187,14 +205,10 @@ impl WindowState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IwSweep {
-    windows: Vec<u32>,
-    latencies: LatencyTable,
-    states: Vec<WindowState>,
+    resolver: IwResolver,
+    windows: IwWindows,
     /// Resolved instructions not yet run through the window states.
-    pending: Vec<Resolved>,
-    instructions: u64,
-    mix: [u64; NUM_OP_CLASSES],
-    loads: u64,
+    pending: Vec<ResolvedInst>,
 }
 
 impl IwSweep {
@@ -205,13 +219,17 @@ impl IwSweep {
     /// Panics if any window size is zero.
     pub fn new(window_sizes: &[u32], latencies: LatencyTable) -> Self {
         IwSweep {
-            windows: window_sizes.to_vec(),
-            states: window_sizes.iter().map(|&w| WindowState::new(w)).collect(),
+            resolver: IwResolver {
+                instructions: 0,
+                mix: [0; NUM_OP_CLASSES],
+                loads: 0,
+            },
+            windows: IwWindows {
+                windows: window_sizes.to_vec(),
+                latency: Op::ALL.map(|op| latencies.latency(op)),
+                states: window_sizes.iter().map(|&w| WindowState::new(w)).collect(),
+            },
             pending: Vec::with_capacity(CHUNK),
-            latencies,
-            instructions: 0,
-            mix: [0; NUM_OP_CLASSES],
-            loads: 0,
         }
     }
 
@@ -222,80 +240,139 @@ impl IwSweep {
 
     /// Streams one instruction through every window-size state.
     ///
-    /// Sources, destination, and latency are resolved once here and
-    /// shared across all window states. Resolved instructions are
-    /// buffered and every window state runs over each full chunk in
+    /// Sources and destination are resolved once here and shared
+    /// across all window states. Resolved instructions are buffered
+    /// and every window state runs over each full chunk in
     /// turn: one state's register file and histogram stay hot in cache
     /// and its loop-carried scalars in registers, instead of all states
     /// being cycled through for every instruction. Each state still
     /// sees the instructions in program order, so the result is the
     /// same.
     pub fn push(&mut self, inst: &Inst) {
-        let lat = self.latencies.latency(inst.op);
-        let (mut r0, mut r1) = (NO_PRODUCER, NO_PRODUCER);
-        for (slot, src) in inst.sources().enumerate() {
-            if slot == 0 {
-                r0 = src.index();
-            } else {
-                r1 = src.index();
-            }
-        }
-        let dest = inst.dest.map_or(NO_DEST, |d| d.index());
-        self.pending.push((r0 as u8, r1 as u8, dest as u8, lat));
+        self.pending.push(self.resolver.resolve(inst));
         if self.pending.len() == CHUNK {
             self.run_pending();
-        }
-        self.instructions += 1;
-        self.mix[inst.op.index()] += 1;
-        if inst.op == Op::Load {
-            self.loads += 1;
         }
     }
 
     fn run_pending(&mut self) {
-        for state in &mut self.states {
-            state.run(&self.pending);
-        }
+        self.windows.run(&self.pending);
         self.pending.clear();
     }
 
     /// Instructions pushed so far.
     pub fn len(&self) -> u64 {
-        self.instructions
+        self.resolver.instructions
     }
 
     /// Returns `true` if no instruction has been pushed.
     pub fn is_empty(&self) -> bool {
-        self.instructions == 0
+        self.resolver.instructions == 0
+    }
+
+    /// Splits the sweep into its two stages, having run every pushed
+    /// instruction through the windows. Feed each resolved instruction
+    /// to the windows in the order the resolver produced it, then
+    /// rejoin the parts with [`from_parts`](Self::from_parts): the
+    /// analysis is the one [`push`](Self::push) would have produced.
+    pub fn into_parts(mut self) -> (IwResolver, IwWindows) {
+        self.run_pending();
+        (self.resolver, self.windows)
+    }
+
+    /// Rejoins the stages [`into_parts`](Self::into_parts) split.
+    pub fn from_parts(resolver: IwResolver, windows: IwWindows) -> Self {
+        IwSweep {
+            resolver,
+            windows,
+            pending: Vec::new(),
+        }
     }
 
     /// Closes the sweep: measured `(W, IPC)` points plus the op-class
     /// mix, ready to be finalized per probe.
     pub fn finish(mut self) -> IwAnalysis {
         self.run_pending();
-        if self.instructions > 0 {
+        let instructions = self.resolver.instructions;
+        if instructions > 0 {
             let _sweep = fosm_obs::span("iw.characteristic");
-            fosm_obs::counter_add("iw.sweep.instructions", self.instructions);
-            fosm_obs::counter_add("iw.sweep.windows", self.windows.len() as u64);
+            fosm_obs::counter_add("iw.sweep.instructions", instructions);
+            fosm_obs::counter_add("iw.sweep.windows", self.windows.windows.len() as u64);
         }
         let points = self
             .windows
+            .windows
             .iter()
-            .zip(&self.states)
+            .zip(&self.windows.states)
             .map(|(&window, state)| IwPoint {
                 window,
-                ipc: if self.instructions == 0 {
+                ipc: if instructions == 0 {
                     0.0
                 } else {
-                    self.instructions as f64 / state.max_issue as f64
+                    instructions as f64 / state.max_issue as f64
                 },
             })
             .collect();
         IwAnalysis {
             points,
-            mix: self.mix,
-            loads: self.loads,
-            instructions: self.instructions,
+            mix: self.resolver.mix,
+            loads: self.resolver.loads,
+            instructions,
+        }
+    }
+}
+
+/// The first stage of an [`IwSweep`]: resolves each instruction for the
+/// window states and counts the op-class mix.
+#[derive(Debug, Clone)]
+pub struct IwResolver {
+    instructions: u64,
+    mix: [u64; NUM_OP_CLASSES],
+    loads: u64,
+}
+
+impl IwResolver {
+    /// Resolves `inst`'s source and destination registers to
+    /// `reg_finish` slots, and counts its op class.
+    ///
+    /// A missing source reads the [`NO_PRODUCER`] slot, so the two
+    /// slots are read as they stand: the recurrence takes the larger of
+    /// the two finish times, which does not depend on their order.
+    #[inline]
+    pub fn resolve(&mut self, inst: &Inst) -> ResolvedInst {
+        let slot = |src: Option<fosm_isa::Reg>| src.map_or(NO_PRODUCER, |r| r.index()) as u8;
+        self.instructions += 1;
+        self.mix[inst.op.index()] += 1;
+        if inst.op == Op::Load {
+            self.loads += 1;
+        }
+        ResolvedInst {
+            r0: slot(inst.srcs[0]),
+            r1: slot(inst.srcs[1]),
+            dest: inst.dest.map_or(NO_DEST, |d| d.index()) as u8,
+            op: inst.op.index() as u8,
+        }
+    }
+}
+
+/// The second stage of an [`IwSweep`]: one streaming issue-recurrence
+/// state per window size. It reads only [`ResolvedInst`]s, owns all of
+/// its memory, and records no metrics, so it can run on a thread of its
+/// own.
+#[derive(Debug, Clone)]
+pub struct IwWindows {
+    windows: Vec<u32>,
+    /// Result latency of each op class.
+    latency: [u32; NUM_OP_CLASSES],
+    states: Vec<WindowState>,
+}
+
+impl IwWindows {
+    /// Runs every window state over `ops`, in order, one state at a
+    /// time.
+    pub fn run(&mut self, ops: &[ResolvedInst]) {
+        for state in &mut self.states {
+            state.run(ops, &self.latency);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The dynamic trace generator walking a [`SyntheticProgram`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fosm_isa::{Inst, Op, Reg};
@@ -70,11 +70,13 @@ pub struct WorkloadGenerator {
     // memory state
     stream_pos: Vec<u64>,
 
-    // per-static-branch pattern phase (keyed by terminator PC)
-    skip_phase: HashMap<u64, u32>,
+    // per-static-branch pattern phase, indexed by function then block
+    skip_phase: Vec<Vec<u32>>,
 
-    // output buffer (one block's worth at a time)
-    pending: VecDeque<Inst>,
+    // output buffer (one block's worth at a time) and the next
+    // instruction in it to hand out
+    pending: Vec<Inst>,
+    cursor: usize,
 }
 
 impl WorkloadGenerator {
@@ -116,8 +118,13 @@ impl WorkloadGenerator {
             recent_producers: VecDeque::with_capacity(spec.dep_window as usize),
             next_dest: DEST_LO,
             stream_pos: vec![0; spec.num_streams as usize],
-            skip_phase: HashMap::new(),
-            pending: VecDeque::new(),
+            skip_phase: program
+                .functions
+                .iter()
+                .map(|f| vec![0; f.blocks.len()])
+                .collect(),
+            pending: Vec::new(),
+            cursor: 0,
             program,
         }
     }
@@ -226,7 +233,7 @@ impl WorkloadGenerator {
                     inst
                 }
             };
-            self.pending.push_back(inst);
+            self.pending.push(inst);
         }
 
         // Terminator + control transfer.
@@ -251,17 +258,12 @@ impl WorkloadGenerator {
                 let cond = self.pick_source();
                 if remaining > 1 {
                     self.loop_remaining = Some(remaining - 1);
-                    self.pending.push_back(Inst::branch(
-                        term_pc,
-                        Op::CondBranch,
-                        cond,
-                        true,
-                        block_pc,
-                    ));
+                    self.pending
+                        .push(Inst::branch(term_pc, Op::CondBranch, cond, true, block_pc));
                     // stay on this block
                 } else {
                     self.loop_remaining = None;
-                    self.pending.push_back(Inst::branch(
+                    self.pending.push(Inst::branch(
                         term_pc,
                         Op::CondBranch,
                         cond,
@@ -275,7 +277,7 @@ impl WorkloadGenerator {
                 p_taken, period, ..
             } => {
                 let taken = if period > 0 {
-                    let phase = self.skip_phase.entry(term_pc).or_insert(0);
+                    let phase = &mut self.skip_phase[self.cur_func][self.cur_block];
                     let t = *phase == period - 1;
                     *phase = (*phase + 1) % period;
                     t
@@ -295,7 +297,7 @@ impl WorkloadGenerator {
                     term_pc + 4
                 };
                 self.pending
-                    .push_back(Inst::branch(term_pc, Op::CondBranch, cond, taken, target));
+                    .push(Inst::branch(term_pc, Op::CondBranch, cond, taken, target));
                 self.cur_block = next;
             }
             Terminator::Call { callee } => {
@@ -303,7 +305,7 @@ impl WorkloadGenerator {
                 if self.stack.len() < self.spec.max_call_depth as usize {
                     let target = self.program.functions[callee].entry_pc();
                     self.pending
-                        .push_back(Inst::branch(term_pc, Op::Call, None, true, target));
+                        .push(Inst::branch(term_pc, Op::Call, None, true, target));
                     self.stack.push(Frame {
                         func: self.cur_func,
                         block: self.cur_block + 1,
@@ -330,7 +332,7 @@ impl WorkloadGenerator {
                 };
                 let cond = self.pick_source();
                 self.pending
-                    .push_back(Inst::branch(term_pc, Op::Return, cond, true, target));
+                    .push(Inst::branch(term_pc, Op::Return, cond, true, target));
                 self.cur_func = func;
                 self.cur_block = block;
             }
@@ -340,10 +342,16 @@ impl WorkloadGenerator {
 
 impl TraceSource for WorkloadGenerator {
     fn next_inst(&mut self) -> Option<Inst> {
+        if let Some(&inst) = self.pending.get(self.cursor) {
+            self.cursor += 1;
+            return Some(inst);
+        }
+        self.pending.clear();
         while self.pending.is_empty() {
             self.run_block();
         }
-        self.pending.pop_front()
+        self.cursor = 1;
+        Some(self.pending[0])
     }
 }
 
