@@ -236,7 +236,7 @@ pub static COMMANDS: &[Spec] = &[
     ]},
     Spec { usage: "metrics diff <a.json> <b.json>", run: commands::metrics_diff, shared: &[],
         flags: &[
-        value("max-regress", "PCT", "fail when a counter, span or quantile grew over PCT%"),
+        value("max-regress", "PCT", "fail when a counter (not *_ns), span or quantile grew over PCT%"),
     ]},
     Spec { usage: "serve", run: serve_cmd::serve, shared: &[], flags: &[
         value("addr", "A", "listen address (127.0.0.1:0 = any port)"),

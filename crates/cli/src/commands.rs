@@ -611,8 +611,10 @@ pub fn trace(args: Parsed) -> Result<(), String> {
 /// `--metrics`/`FOSM_METRICS`: counter deltas, gauge deltas, span
 /// `total_ns` ratios, and histogram summaries (`count`/`p50`/`p99` per
 /// histogram). Growth beyond `--max-regress` in a counter, span timing
-/// or histogram quantile fails the run; gauges and histogram counts are
-/// informational (serving more requests is not slower).
+/// or histogram quantile fails the run; gauges, histogram counts and
+/// `*_ns` counters are informational (serving more requests is not
+/// slower, and a `*_ns` counter is a wall-clock total, such as a fused
+/// pass's stage times, that differs between identical runs).
 pub fn metrics_diff(args: Parsed) -> Result<(), String> {
     let a = load_manifest(args.positional(0))?;
     let b = load_manifest(args.positional(1))?;
@@ -647,6 +649,7 @@ pub fn metrics_diff(args: Parsed) -> Result<(), String> {
             }
             let gated = match section {
                 "gauges" => false,
+                "counters" => !key.ends_with("_ns"),
                 "hists" => key.ends_with(".p50") || key.ends_with(".p99"),
                 _ => true,
             };

@@ -388,12 +388,12 @@ fn metrics_diff_gates_on_counter_growth() {
     let b = tmp("manifest-b.json");
     std::fs::write(
         &a,
-        r#"{"fosm_obs":1,"binary":"x","meta":{},"counters":{"sim.retired":1000},"gauges":{},"spans":{"run":{"count":1,"total_ns":100,"mean_ns":100.0}}}"#,
+        r#"{"fosm_obs":1,"binary":"x","meta":{},"counters":{"sim.retired":1000,"profile.stage_a.wait_ns":70000},"gauges":{},"spans":{"run":{"count":1,"total_ns":100,"mean_ns":100.0}}}"#,
     )
     .unwrap();
     std::fs::write(
         &b,
-        r#"{"fosm_obs":1,"binary":"x","meta":{},"counters":{"sim.retired":1500},"gauges":{},"spans":{"run":{"count":1,"total_ns":110,"mean_ns":110.0}}}"#,
+        r#"{"fosm_obs":1,"binary":"x","meta":{},"counters":{"sim.retired":1500,"profile.stage_a.wait_ns":2100000},"gauges":{},"spans":{"run":{"count":1,"total_ns":110,"mean_ns":110.0}}}"#,
     )
     .unwrap();
 
@@ -413,8 +413,11 @@ fn metrics_diff_gates_on_counter_growth() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(err.contains("REGRESSION counters.sim.retired"), "{err}");
+    // A `*_ns` counter is a wall-clock total: reported, never gated.
+    assert!(!err.contains("wait_ns"), "{err}");
 
-    // A generous bound passes (span growth is 10%, counter gate at 60%).
+    // A generous bound passes (span growth is 10%, counter gate at 60%,
+    // the 30x `wait_ns` growth is not gated).
     let out = fosm(&["metrics", "diff", &a, &b, "--max-regress", "60"]);
     assert!(
         out.status.success(),

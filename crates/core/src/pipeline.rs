@@ -268,25 +268,12 @@ impl Drop for Closer<'_> {
 }
 
 /// Runs a pass: `a` fills chunks on this thread and `b` runs over them
-/// on a helper. A stream that ends inside the first chunk runs `b`
-/// here instead, without a helper. Returns `b` when both stages have
-/// seen the whole stream.
+/// on a helper. Returns `b` when both stages have seen the whole
+/// stream.
 pub(crate) fn run(a: &mut impl StageA, mut b: StageB) -> (StageB, StageTimes) {
     let mut spare: Vec<Chunk> = (0..CHUNKS)
         .map(|_| Chunk::new(b.predictors.len()))
         .collect();
-    let mut chunk = spare.pop().expect("at least one chunk");
-    if !a.fill(&mut chunk) {
-        let start = Instant::now();
-        b.run(&mut chunk);
-        let b_busy = start.elapsed();
-        a.fold(&chunk);
-        let times = StageTimes {
-            a_wait: Duration::ZERO,
-            b_busy,
-        };
-        return (b, times);
-    }
     let queue = &Queue::new();
     thread::scope(|scope| {
         let helper = scope.spawn(move || {
@@ -309,7 +296,8 @@ pub(crate) fn run(a: &mut impl StageA, mut b: StageB) -> (StageB, StageTimes) {
                 queue,
                 stage_a: true,
             };
-            let mut more = true;
+            let mut chunk = spare.pop().expect("at least one chunk");
+            let mut more = a.fill(&mut chunk);
             // Every chunk goes through stage B, the last, partial one
             // too. Once stage B has stopped, the join below says why.
             while queue.send(chunk) && more {
@@ -394,7 +382,7 @@ mod tests {
 
     #[test]
     fn a_stage_b_panic_reaches_the_caller_with_its_payload() {
-        // One chunk runs stage B inline; ten run it on the helper.
+        // The stream ends in the first chunk, or runs past the spares.
         for chunks in [1, 10] {
             let mut a = Branches { chunks, folded: 0 };
             let caught = panic::catch_unwind(AssertUnwindSafe(|| run(&mut a, failing_stage_b())));

@@ -290,12 +290,11 @@ impl ProfileCollector {
     /// probe against fresh replays of the same trace — fusion changes
     /// the cost, not the answer.
     ///
-    /// A trace longer than [`CHUNK`](Self::CHUNK) instructions runs the
-    /// IW window states and the predictors on one helper thread beside
-    /// the caches, which stay on the calling thread with the trace;
-    /// each sees the stream in program order, so the profiles are the
-    /// same. A panic on either thread reaches the caller with its
-    /// payload.
+    /// The pass runs the IW window states and the predictors on one
+    /// helper thread beside the caches, which stay on the calling
+    /// thread with the trace; each sees the stream in program order,
+    /// so the profiles are the same. A panic on either thread reaches
+    /// the caller with its payload.
     ///
     /// An empty bank returns no profiles without consuming the trace.
     ///

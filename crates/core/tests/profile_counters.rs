@@ -109,9 +109,20 @@ fn fused_counter_totals_equal_the_sum_of_single_probe_runs() {
     assert_eq!(fused, single);
 }
 
+/// The profiler's and the IW sweep's counters in `registry`, zero or
+/// not.
+fn pass_counters(registry: &Registry) -> BTreeMap<String, u64> {
+    registry
+        .snapshot()
+        .counters
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("profile.") || name.starts_with("iw.sweep."))
+        .collect()
+}
+
 #[test]
 fn a_scoped_pass_counts_in_its_scope_and_not_globally() {
-    let global_before = profile_counters(fosm_obs::global());
+    let global_before = pass_counters(fosm_obs::global());
     let registry = Arc::new(Registry::new());
     {
         let _scope = fosm_obs::scoped_registry(Arc::clone(&registry));
@@ -119,16 +130,22 @@ fn a_scoped_pass_counts_in_its_scope_and_not_globally() {
             .collect_many(&mut gcc_trace().replay(), &five_probes(), u64::MAX)
             .expect("fused pass");
     }
-    let scoped = profile_counters(&registry);
+    // The helper thread records nothing; the caller records the sweep's
+    // counters and the stage times after the join.
+    let scoped = pass_counters(&registry);
     for key in [
         "profile.cache.l1i.misses",
         "profile.cache.l1d.misses",
         "profile.cache.l2.misses",
         "profile.cache.dtlb.misses",
         "profile.branch.mispredicts",
+        "iw.sweep.instructions",
+        "profile.stage_a.wait_ns",
+        "profile.stage_b.busy_ns",
     ] {
         assert!(scoped.contains_key(key), "{key} missing from {scoped:?}");
     }
+    assert_eq!(registry.counter("iw.sweep.instructions"), 20_000);
     assert_eq!(registry.counter("profile.instructions"), 5 * 20_000);
-    assert_eq!(profile_counters(fosm_obs::global()), global_before);
+    assert_eq!(pass_counters(fosm_obs::global()), global_before);
 }

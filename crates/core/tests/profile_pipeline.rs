@@ -7,7 +7,7 @@
 //! stepped inline over the touched ones. None of them depends on timing.
 //!
 //! Every pass runs under a `scoped_registry`, so this test binary leaves
-//! the global registry alone and the last test can check that it does.
+//! the global registry alone.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -46,13 +46,6 @@ const SKIPPING: SamplingPlan = SamplingPlan {
     warmup: 250,
     period: 1_000,
 };
-
-/// Runs `f` with metrics routed to a fresh registry, which it returns.
-fn scoped<T>(f: impl FnOnce() -> T) -> (T, Arc<Registry>) {
-    let registry = Arc::new(Registry::new());
-    let _scope = fosm_obs::scoped_registry(Arc::clone(&registry));
-    (f(), registry)
-}
 
 fn gcc(len: usize) -> Vec<Inst> {
     VecTrace::record(
@@ -204,11 +197,10 @@ fn a_panicking_source_reaches_the_caller_with_its_payload() {
         inner: WorkloadGenerator::new(&BenchmarkSpec::mcf(), 3),
         left: 3 * C,
     };
-    let (caught, _) = scoped(|| {
-        panic::catch_unwind(AssertUnwindSafe(|| {
-            ProfileCollector::new(&params).collect_many(&mut source, &bank(), u64::MAX)
-        }))
-    });
+    let _scope = fosm_obs::scoped_registry(Arc::new(Registry::new()));
+    let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+        ProfileCollector::new(&params).collect_many(&mut source, &bank(), u64::MAX)
+    }));
     let payload = caught.expect_err("the source panicked");
     let text = payload
         .downcast_ref::<&str>()
@@ -218,44 +210,5 @@ fn a_panicking_source_reaches_the_caller_with_its_payload() {
     assert_eq!(
         source.left, 0,
         "the pass read every instruction it was given"
-    );
-}
-
-#[test]
-fn a_pass_records_into_the_callers_scoped_registry_only() {
-    let params = ProcessorParams::baseline();
-    let len = 3 * C + 7;
-    let (profiles, registry) = scoped(|| {
-        ProfileCollector::new(&params)
-            .collect_many(&mut VecTrace::new(gcc(len)), &bank(), u64::MAX)
-            .expect("collection succeeds")
-    });
-    assert_eq!(profiles.len(), 2);
-    let counters = registry.snapshot().counters;
-    for name in [
-        "profile.probes",
-        "profile.instructions",
-        "profile.cache.l1d.accesses",
-        "profile.branch.lookups",
-        "iw.sweep.instructions",
-        "profile.stage_a.wait_ns",
-        "profile.stage_b.busy_ns",
-    ] {
-        assert!(
-            counters.contains_key(name),
-            "{name} missing from {counters:?}"
-        );
-    }
-    assert_eq!(counters["iw.sweep.instructions"], len as u64);
-    assert_eq!(counters["profile.instructions"], 2 * len as u64);
-    assert!(counters["profile.stage_b.busy_ns"] > 0);
-    let global = fosm_obs::global().snapshot().counters;
-    let leaked: Vec<_> = global
-        .keys()
-        .filter(|name| name.starts_with("profile.") || name.starts_with("iw.sweep."))
-        .collect();
-    assert!(
-        leaked.is_empty(),
-        "recorded into the global registry: {leaked:?}"
     );
 }
